@@ -195,16 +195,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "dynobench: procbench: %v\n", err)
 			return 1
 		}
-		fmt.Printf("proc dispatch bench (GOMAXPROCS=%d, %d workers, parallelism %d, queries %v)\n",
+		fmt.Printf("proc data-plane bench (GOMAXPROCS=%d, %d workers, parallelism %d, queries %v)\n",
 			rep.GOMAXPROCS, rep.Workers, rep.Parallelism, rep.Queries)
-		for _, arm := range rep.Arms {
-			fmt.Printf("  %-12s codec=%-4s batched=%-5v peer=%-5v  %6d rpcs  %6d tasks  %9d B out  %9d B in  %7.0f B/task  %9d B ctl-shuf  %9d B peer-shuf  wall %.2fs\n",
-				arm.Name, arm.Codec, arm.Batched, arm.PeerShuffle, arm.RPCs, arm.Tasks, arm.BytesOut, arm.BytesIn, arm.BytesPerTask, arm.CtlShuffleBytes, arm.PeerShuffleBytes, arm.WallSec)
-		}
-		fmt.Printf("  binary batched vs json per-task: %.1fx fewer dispatch bytes, %.1fx fewer RPCs\n",
-			rep.ByteReduction, rep.RPCReduction)
-		fmt.Printf("  peer shuffle vs controller shuffle: %.1fx fewer controller-side shuffle bytes\n",
-			rep.CtlShuffleReduction)
+		fmt.Printf("  %d rpcs  %d tasks (%.1f/rpc)  %d B out  %d B in  %.0f B/task  %d B ctl-shuf  %d B peer-shuf  %d jobs  %.1fs virtual (= sim)  wall %.2fs\n",
+			rep.RPCs, rep.Tasks, rep.TasksPerRPC, rep.BytesOut, rep.BytesIn, rep.BytesPerTask,
+			rep.CtlShuffleBytes, rep.PeerShuffleBytes, rep.Jobs, rep.VirtualSec, rep.WallSec)
 		if *procOut != "" {
 			if err := writeJSON(*procOut, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "dynobench: procbench: %v\n", err)

@@ -4,50 +4,27 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
+	goruntime "runtime"
 	"time"
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
 	"dyno/internal/expr"
 	"dyno/internal/optimizer"
+	"dyno/internal/runtime"
 	"dyno/internal/runtime/procruntime"
+	"dyno/internal/runtime/simruntime"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/tpch"
 )
 
-// ProcBench measures the proc backend's dispatch plane: the same
-// TPC-H workload runs on a real worker fleet (in-process HTTP
-// servers, the handler cmd/dynoworker serves) under four wire
-// configurations — the PR 8 JSON per-task POSTs, JSON batched, binary
-// batched (controller shuffle), and binary batched with
-// worker-to-worker shuffle — and reports RPC counts, payload bytes
-// (split controller vs peer), and wall time per arm. Virtual
-// timelines must match across arms exactly (the wire plane must be
-// invisible to the simulated accounting); ProcBench errors out if
-// they diverge.
-
-// ProcBenchArm is one dispatch-plane configuration's measurement.
-type ProcBenchArm struct {
-	Name        string `json:"name"`
-	Codec       string `json:"codec"`
-	Batched     bool   `json:"batched"`
-	PeerShuffle bool   `json:"peerShuffle"`
-
-	WallSec      float64 `json:"wallSec"`
-	RPCs         int64   `json:"rpcs"`
-	Tasks        int64   `json:"tasks"`
-	BytesOut     int64   `json:"bytesOut"`
-	BytesIn      int64   `json:"bytesIn"`
-	BytesPerTask float64 `json:"bytesPerTask"` // (out+in)/tasks
-	VirtualSec   float64 `json:"virtualSec"`   // summed simulated time, identical across arms
-
-	// Byte split: shuffle pairs riding the controller dispatch plane
-	// vs fetched worker-to-worker.
-	CtlShuffleBytes  int64 `json:"ctlShuffleBytes"`
-	PeerShuffleBytes int64 `json:"peerShuffleBytes"`
-	PeerFetches      int64 `json:"peerFetches"`
-}
+// ProcBench measures the proc backend's data plane: the TPC-H workload
+// runs on a real worker fleet (in-process HTTP servers, the handler
+// cmd/dynoworker serves) and the report gives RPC counts, payload
+// bytes (split controller vs peer shuffle) and wall time. The same
+// queries also run on the simulator: virtual time and job counts must
+// match exactly (the wire plane must be invisible to the simulated
+// accounting), and ProcBench errors out if they diverge.
 
 // ProcBenchReport is the procbench experiment's JSON report
 // (BENCH_proc.json).
@@ -59,14 +36,21 @@ type ProcBenchReport struct {
 	Parallelism int      `json:"parallelism"`
 	Queries     []string `json:"queries"`
 
-	Arms []ProcBenchArm `json:"arms"`
+	WallSec      float64 `json:"wallSec"`
+	RPCs         int64   `json:"rpcs"`
+	Tasks        int64   `json:"tasks"` // task attempts on the wire
+	TasksPerRPC  float64 `json:"tasksPerRpc"`
+	BytesOut     int64   `json:"bytesOut"`
+	BytesIn      int64   `json:"bytesIn"`
+	BytesPerTask float64 `json:"bytesPerTask"` // (out+in)/tasks
+	VirtualSec   float64 `json:"virtualSec"`   // summed simulated time, equal to the sim's
+	Jobs         int     `json:"jobs"`         // join-block plus pilot jobs, equal to the sim's
 
-	// Headline ratios: binary+batched vs the JSON per-task plane, and
-	// controller-side shuffle bytes peer vs no-peer on the binary
-	// batched plane.
-	ByteReduction       float64 `json:"byteReduction"`       // dispatch bytes, x smaller
-	RPCReduction        float64 `json:"rpcReduction"`        // HTTP round-trips, x fewer
-	CtlShuffleReduction float64 `json:"ctlShuffleReduction"` // controller shuffle bytes, x smaller with peer shuffle
+	// Byte split: shuffle pairs riding the controller dispatch plane
+	// (mirror fallback only) vs fetched worker-to-worker.
+	CtlShuffleBytes  int64 `json:"ctlShuffleBytes"`
+	PeerShuffleBytes int64 `json:"peerShuffleBytes"`
+	PeerFetches      int64 `json:"peerFetches"`
 }
 
 // procBenchWorkers is the benchmark fleet size; Parallelism stays
@@ -77,81 +61,31 @@ const (
 	procBenchParallelism = 8
 )
 
-var procBenchArms = []struct {
-	name string
-	cfg  procruntime.Config
-}{
-	{"json_pertask", procruntime.Config{Codec: wire.CodecJSON, DisableBatch: true, DisablePeerShuffle: true}},
-	{"json_batched", procruntime.Config{Codec: wire.CodecJSON, DisablePeerShuffle: true}},
-	{"bin_batched", procruntime.Config{DisablePeerShuffle: true}},
-	{"bin_peer", procruntime.Config{}},
-}
-
-// ProcBench runs the four-arm dispatch-plane benchmark.
+// ProcBench runs the proc data-plane benchmark and its sim cross-check.
 func ProcBench(cfg Config) (*ProcBenchReport, error) {
 	cfg = cfg.normalized()
 	queries := tpch.QueryNames
 	rep := &ProcBenchReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GOMAXPROCS:  goruntime.GOMAXPROCS(0),
 		Scale:       cfg.Scale,
 		Seed:        cfg.Seed,
 		Workers:     procBenchWorkers,
 		Parallelism: procBenchParallelism,
 		Queries:     queries,
 	}
-	for _, arm := range procBenchArms {
-		m, err := runProcArm(cfg, arm.cfg, queries)
-		if err != nil {
-			return nil, fmt.Errorf("procbench %s: %w", arm.name, err)
-		}
-		m.Name = arm.name
-		rep.Arms = append(rep.Arms, *m)
+	ccfg := cluster.DefaultConfig()
+	ccfg.Parallelism = procBenchParallelism
+	simVirtual, simJobs, err := runProcBenchQueries(cfg, simruntime.New(ccfg), queries)
+	if err != nil {
+		return nil, fmt.Errorf("procbench sim: %w", err)
 	}
-	for _, arm := range rep.Arms[1:] {
-		if arm.VirtualSec != rep.Arms[0].VirtualSec {
-			return nil, fmt.Errorf("procbench: virtual timelines diverge across arms: %s=%v %s=%v — the wire plane leaked into the accounting",
-				rep.Arms[0].Name, rep.Arms[0].VirtualSec, arm.Name, arm.VirtualSec)
-		}
-	}
-	base := rep.arm("json_pertask")
-	bin := rep.arm("bin_batched")
-	peer := rep.arm("bin_peer")
-	rep.ByteReduction = ratio(float64(base.BytesOut+base.BytesIn), float64(bin.BytesOut+bin.BytesIn))
-	rep.RPCReduction = ratio(float64(base.RPCs), float64(bin.RPCs))
-	// Not ratio(): the peer arm's controller shuffle bytes are expected
-	// to reach zero, and ratio() maps a zero denominator to 0 — the
-	// opposite of the improvement it represents.
-	rep.CtlShuffleReduction = float64(bin.CtlShuffleBytes) / float64(max(peer.CtlShuffleBytes, 1))
-	return rep, nil
-}
 
-// arm returns the named arm's measurement; procBenchArms is fixed, so
-// a miss is a programming error.
-func (r *ProcBenchReport) arm(name string) *ProcBenchArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
-		}
-	}
-	panic("procbench: unknown arm " + name)
-}
-
-// runProcArm executes the workload once under one fleet configuration
-// and snapshots the dispatch counters.
-func runProcArm(cfg Config, pcfg procruntime.Config, queries []string) (*ProcBenchArm, error) {
-	pcfg.StaleAfter = time.Hour // in-process workers do not heartbeat
-	fleet, err := procruntime.NewFleet(pcfg)
+	fleet, err := procruntime.NewFleet(procruntime.Config{StaleAfter: time.Hour}) // in-process workers do not heartbeat
 	if err != nil {
 		return nil, err
 	}
 	defer fleet.Close()
-	var servers []*http.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	caps := wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true}
+	caps := wire.Caps{Codecs: []string{wire.CodecBinary}, Batch: true, PeerShuffle: true}
 	for i := 0; i < procBenchWorkers; i++ {
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, cfg.UDF)
@@ -160,55 +94,66 @@ func runProcArm(cfg Config, pcfg procruntime.Config, queries []string) (*ProcBen
 			return nil, err
 		}
 		srv := &http.Server{Handler: procruntime.NewWorker(reg).Handler()}
-		servers = append(servers, srv)
+		defer srv.Close()
 		go srv.Serve(ln)
-		fleet.RegisterWorkerCaps("http://"+ln.Addr().String(), caps)
+		if _, err := fleet.RegisterWorkerCaps("http://"+ln.Addr().String(), caps); err != nil {
+			return nil, err
+		}
+	}
+	start := time.Now()
+	rep.VirtualSec, rep.Jobs, err = runProcBenchQueries(cfg, procruntime.New(fleet, ccfg), queries)
+	if err != nil {
+		return nil, fmt.Errorf("procbench proc: %w", err)
+	}
+	rep.WallSec = time.Since(start).Seconds()
+	if rep.VirtualSec != simVirtual || rep.Jobs != simJobs {
+		return nil, fmt.Errorf("procbench: proc diverges from sim: virtual %v vs %v s, jobs %d vs %d — the wire plane leaked into the accounting",
+			rep.VirtualSec, simVirtual, rep.Jobs, simJobs)
 	}
 
-	ccfg := cluster.DefaultConfig()
-	ccfg.Parallelism = procBenchParallelism
-	rt := procruntime.New(fleet, ccfg)
+	st := fleet.WireStats()
+	rep.RPCs, rep.Tasks = st.RPCs, st.Tasks
+	rep.TasksPerRPC = ratio(float64(st.Tasks), float64(st.RPCs))
+	rep.BytesOut, rep.BytesIn = st.BytesOut, st.BytesIn
+	rep.BytesPerTask = ratio(float64(st.BytesOut+st.BytesIn), float64(st.Tasks))
+	rep.CtlShuffleBytes = st.CtlShuffleBytes
+	rep.PeerShuffleBytes = st.PeerShuffleBytes
+	rep.PeerFetches = st.PeerFetches
+	return rep, nil
+}
+
+// runProcBenchQueries runs every query once under DYNOPT on rt and
+// returns the summed virtual seconds and join-block plus pilot job
+// count.
+func runProcBenchQueries(cfg Config, rt runtime.Runtime, queries []string) (float64, int, error) {
 	cat, err := tpch.Generate(rt.FS(), tpch.Config{SF: 10, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-
-	arm := &ProcBenchArm{Codec: wire.CodecBinary, Batched: true}
-	if pcfg.Codec == wire.CodecJSON {
-		arm.Codec = wire.CodecJSON
-	}
-	arm.Batched = !pcfg.DisableBatch
-	arm.PeerShuffle = !pcfg.DisablePeerShuffle
-
-	start := time.Now()
+	var virtual float64
+	var jobs int
 	for _, query := range queries {
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, cfg.UDF)
 		env := rt.NewEnv(reg)
-		opts := experimentOptions()
 		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat,
-			optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
+			optimizer.DefaultConfig(float64(env.ClusterConfig().SlotMemory)), experimentOptions())
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		sql, err := tpch.QuerySQL(query)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		res, err := eng.ExecuteSQL(sql)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", query, err)
+			return 0, 0, fmt.Errorf("%s: %w", query, err)
 		}
-		arm.VirtualSec += res.TotalSec
+		virtual += res.TotalSec
+		jobs += res.Jobs
+		if res.Pilot != nil {
+			jobs += res.Pilot.Jobs
+		}
 	}
-	arm.WallSec = time.Since(start).Seconds()
-
-	st := fleet.WireStats()
-	arm.RPCs, arm.Tasks = st.RPCs, st.Tasks
-	arm.BytesOut, arm.BytesIn = st.BytesOut, st.BytesIn
-	arm.BytesPerTask = ratio(float64(st.BytesOut+st.BytesIn), float64(st.Tasks))
-	arm.CtlShuffleBytes = st.CtlShuffleBytes
-	arm.PeerShuffleBytes = st.PeerShuffleBytes
-	arm.PeerFetches = st.PeerFetches
-	return arm, nil
+	return virtual, jobs, nil
 }

@@ -1,7 +1,6 @@
 package procruntime
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,10 +13,10 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-var binCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true}
-
-// batchStub serves /tasks in both codecs, delegating per-task results
-// to fn (called with each decoded task); rpcs counts the RPCs seen.
+// batchStub serves binary /tasks batches, delegating per-task results
+// to fn (called with each decoded task); a nil result fails the whole
+// RPC with HTTP 500, a transport-level failure. rpcs counts the RPCs
+// seen.
 type batchStub struct {
 	srv  *httptest.Server
 	rpcs atomic.Int32
@@ -34,37 +33,22 @@ func newBatchStub(t *testing.T, fn func(task *wire.Task) *wire.TaskResult) *batc
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if r.Header.Get("Content-Type") == wire.ContentTypeBinary {
-			tasks, err := wire.DecodeTaskBatch(body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			results := make([]*wire.TaskResult, len(tasks))
-			for i, task := range tasks {
-				results[i] = fn(task)
-			}
-			frame := wire.EncodeResultBatch(results)
-			defer frame.Close()
-			w.Header().Set("Content-Type", wire.ContentTypeBinary)
-			w.Write(frame.Bytes())
-			return
-		}
-		var batch wire.TaskBatchRequest
-		if err := json.Unmarshal(body, &batch); err != nil {
+		tasks, err := wire.DecodeTaskBatch(body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		out := wire.TaskBatchResponse{Results: make([]*wire.TaskResponse, len(batch.Tasks))}
-		for i, req := range batch.Tasks {
-			task, err := wire.TaskFromRequest(req)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+		results := make([]*wire.TaskResult, len(tasks))
+		for i, task := range tasks {
+			if results[i] = fn(task); results[i] == nil {
+				http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
 				return
 			}
-			out.Results[i] = fn(task).Response()
 		}
-		json.NewEncoder(w).Encode(out)
+		frame := wire.EncodeResultBatch(results)
+		defer frame.Close()
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.Write(frame.Bytes())
 	})
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {})
 	s.srv = httptest.NewServer(mux)
@@ -99,7 +83,7 @@ func TestBatchedDispatchCoalesces(t *testing.T) {
 		return &wire.TaskResult{CPUSeconds: 1}
 	})
 	f := newBareFleet(t, Config{BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
+	register(t, f, stub.srv.URL)
 
 	_, errs := dispatchWave(f, n, func(i int) *wire.Task {
 		return &wire.Task{Task: "t-m" + string(rune('0'+i%10)), Kind: "map"}
@@ -136,7 +120,7 @@ func TestBatchedFailFastPerItem(t *testing.T) {
 		return &wire.TaskResult{CPUSeconds: 1}
 	})
 	f := newBareFleet(t, Config{BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
+	register(t, f, stub.srv.URL)
 
 	names := []string{"a", "bad", "c", "d"}
 	results, errs := dispatchWave(f, len(names), func(i int) *wire.Task {
@@ -170,22 +154,14 @@ func TestBatchedRetryOnDistinctWorker(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return &wire.TaskResult{CPUSeconds: 1}
 	})
-	mux := http.NewServeMux()
-	var badRPCs atomic.Int32
-	mux.HandleFunc("POST /tasks", func(w http.ResponseWriter, r *http.Request) {
-		badRPCs.Add(1)
-		http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
-	})
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {})
-	bad := httptest.NewServer(mux)
-	t.Cleanup(bad.Close)
+	bad := newBatchStub(t, failRPC)
 
 	// BlacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
 	// the workers, so per-item failure counting would blacklist the bad
 	// worker from its single lost RPC; per-RPC counting must not.
 	f := newBareFleet(t, Config{BatchLinger: 50 * time.Millisecond, BlacklistAfter: 2, MaxAttempts: 2})
-	f.RegisterWorkerCaps(good.srv.URL, binCaps)
-	f.RegisterWorkerCaps(bad.URL, binCaps)
+	register(t, f, good.srv.URL)
+	register(t, f, bad.srv.URL)
 
 	results, errs := dispatchWave(f, 4, func(i int) *wire.Task {
 		return &wire.Task{Task: "t-m" + string(rune('0'+i)), Kind: "map"}
@@ -198,7 +174,7 @@ func TestBatchedRetryOnDistinctWorker(t *testing.T) {
 			t.Fatalf("task %d result %+v", i, results[i])
 		}
 	}
-	if badRPCs.Load() == 0 {
+	if bad.rpcs.Load() == 0 {
 		t.Fatal("bad worker was never tried: round-robin broken")
 	}
 	if got := f.Workers(); got != 2 {
@@ -206,20 +182,21 @@ func TestBatchedRetryOnDistinctWorker(t *testing.T) {
 	}
 }
 
-// TestBatchedHedgeStragglers: the straggler hedge still works when the
-// slow attempt is stuck inside a batched RPC — the hedge runs on the
-// other worker and its answer wins.
+// TestBatchedHedgeStragglers: with coalescing lingering well past
+// the hedge floor, a straggling batched RPC is still hedged onto the
+// other worker, and the hedge's result wins.
 func TestBatchedHedgeStragglers(t *testing.T) {
 	var order atomic.Int32
-	handler := func(task *wire.Task) *wire.TaskResult {
-		if order.Add(1) == 1 {
+	handler := func(*wire.Task) *wire.TaskResult {
+		seq := order.Add(1)
+		if seq == 1 {
 			time.Sleep(1 * time.Second)
 		}
-		return &wire.TaskResult{CPUSeconds: float64(order.Load())}
+		return &wire.TaskResult{CPUSeconds: float64(seq)}
 	}
-	f := newBareFleet(t, Config{MaxAttempts: 3, HedgeMin: 50 * time.Millisecond})
-	f.RegisterWorkerCaps(newBatchStub(t, handler).srv.URL, binCaps)
-	f.RegisterWorkerCaps(newBatchStub(t, handler).srv.URL, binCaps)
+	f := newBareFleet(t, Config{MaxAttempts: 3, HedgeMin: 50 * time.Millisecond, BatchLinger: 20 * time.Millisecond})
+	register(t, f, newBatchStub(t, handler).srv.URL)
+	register(t, f, newBatchStub(t, handler).srv.URL)
 
 	start := time.Now()
 	res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
@@ -231,64 +208,6 @@ func TestBatchedHedgeStragglers(t *testing.T) {
 	}
 	if d := time.Since(start); d > 800*time.Millisecond {
 		t.Fatalf("dispatch took %v: waited out the straggler instead of hedging", d)
-	}
-}
-
-// TestCodecNegotiation pins the kill-switch matrix: what each
-// worker/fleet capability combination negotiates to.
-func TestCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name      string
-		cfg       Config
-		caps      wire.Caps
-		wantCodec string
-		wantBatch bool
-	}{
-		{"default", Config{}, binCaps, wire.CodecBinary, true},
-		{"legacyWorker", Config{}, wire.Caps{}, wire.CodecJSON, false},
-		{"jsonKillSwitch", Config{Codec: wire.CodecJSON}, binCaps, wire.CodecJSON, true},
-		{"batchKillSwitch", Config{DisableBatch: true}, binCaps, wire.CodecBinary, false},
-		{"bothKillSwitches", Config{Codec: wire.CodecJSON, DisableBatch: true}, binCaps, wire.CodecJSON, false},
-		{"batchOnlyWorker", Config{}, wire.Caps{Batch: true}, wire.CodecJSON, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newBareFleet(t, tc.cfg)
-			id := f.RegisterWorkerCaps("http://127.0.0.1:1", tc.caps)
-			f.mu.Lock()
-			w := f.workers[id]
-			codec, batch, batcher := w.codec, w.batch, w.batcher
-			f.mu.Unlock()
-			if codec != tc.wantCodec || batch != tc.wantBatch {
-				t.Fatalf("negotiated codec=%s batch=%v, want codec=%s batch=%v", codec, batch, tc.wantCodec, tc.wantBatch)
-			}
-			if batch != (batcher != nil) {
-				t.Fatalf("batch=%v but batcher=%v", batch, batcher)
-			}
-		})
-	}
-}
-
-// TestJSONBatchArm: batching also works on the JSON codec (binary off,
-// batch on), so the two kill-switches are independent.
-func TestJSONBatchArm(t *testing.T) {
-	stub := newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
-		time.Sleep(5 * time.Millisecond)
-		return &wire.TaskResult{CPUSeconds: 1}
-	})
-	f := newBareFleet(t, Config{Codec: wire.CodecJSON, BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
-
-	_, errs := dispatchWave(f, 8, func(i int) *wire.Task {
-		return &wire.Task{Task: "t-m0", Kind: "map"}
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-	}
-	if st := f.WireStats(); st.RPCs >= 8 || st.Tasks != 8 {
-		t.Fatalf("JSON batching stats %+v, want conflation with 8 tasks", st)
 	}
 }
 
@@ -312,16 +231,13 @@ func TestBatcherPriorityLane(t *testing.T) {
 	// MaxBatch 1 gives a total order over sends; linger disabled so the
 	// sender grabs t1 immediately.
 	f := newBareFleet(t, Config{MaxBatch: 1, BatchLinger: -1})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
+	register(t, f, stub.srv.URL)
 	f.mu.Lock()
 	var b *batcher
 	for _, w := range f.workers {
 		b = w.batcher
 	}
 	f.mu.Unlock()
-	if b == nil {
-		t.Fatal("worker negotiated no batcher")
-	}
 
 	var wg sync.WaitGroup
 	enqueue := func(name string, urgent bool) {

@@ -12,15 +12,15 @@ import (
 
 // executor adapts the mapreduce task seam to the fleet's wire
 // protocol: it resolves DFS blocks to mirrored files and dispatches
-// codec-neutral tasks — values stay native data.Values here, and the
-// dispatch layer encodes them in the codec each worker negotiated.
+// tasks — values stay native data.Values here, and the dispatch layer
+// encodes them as binary frames.
 //
-// When peer shuffle is enabled, map tasks retain their partitioned
-// output on the producing worker and return per-partition digests;
-// reduce tasks then carry a fetch list instead of materialized pairs,
-// and the fallback ladder below keeps every failure recoverable
-// through the controller mirror (a deterministic re-run of the
-// producing map), so correctness never depends on a peer staying up.
+// Map tasks of reduce-bearing jobs retain their partitioned output on
+// the producing worker and return per-partition digests; reduce tasks
+// carry a fetch list instead of materialized pairs, and the fallback
+// ladder below keeps every failure recoverable through the controller
+// mirror (a deterministic re-run of the producing map), so correctness
+// never depends on a peer staying up.
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
@@ -112,10 +112,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		RunCombine:  m.RunCombine,
 		Builds:      builds,
 	}
-	if m.HasReduce && !e.f.cfg.DisablePeerShuffle {
-		// Ask the winning worker to retain its output; capability-less
-		// workers get these fields stripped at dispatch and answer with
-		// legacy pairs, which the branch below passes through.
+	if m.HasReduce {
 		task.RetainShuffle = true
 		task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
 		task.ByteScale = e.fs.ByteScale()
@@ -129,41 +126,22 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		out.Rows = res.Rows
 		return out, nil
 	}
-	if res.Parts != nil {
-		stripped := *task
-		stripped.RetainShuffle = false
-		stripped.ShuffleID = ""
-		stripped.ByteScale = 0
-		out.Shuffle = &peerOutput{
-			f:     e.f,
-			url:   res.Worker,
-			id:    task.ShuffleID,
-			task:  &stripped,
-			parts: res.Parts,
-		}
-		out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
-		for i, p := range res.Parts {
-			out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
-		}
-		return out, nil
+	stripped := *task
+	stripped.RetainShuffle = false
+	stripped.ShuffleID = ""
+	stripped.ByteScale = 0
+	out.Shuffle = &peerOutput{
+		f:     e.f,
+		url:   res.Worker,
+		id:    task.ShuffleID,
+		task:  &stripped,
+		parts: res.Parts,
 	}
-	out.Pairs = make([][]mapreduce.RemoteKV, len(res.Pairs))
-	for p, kvs := range res.Pairs {
-		pairs := make([]mapreduce.RemoteKV, len(kvs))
-		for i, kv := range kvs {
-			pairs[i] = mapreduce.RemoteKV{Key: kv.Key, Tag: kv.Tag, Rec: kv.Rec}
-		}
-		out.Pairs[p] = pairs
+	out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
+	for i, p := range res.Parts {
+		out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
 	}
 	return out, nil
-}
-
-func toWireKVs(pairs []mapreduce.RemoteKV) []wire.KV {
-	kvs := make([]wire.KV, len(pairs))
-	for i, kv := range pairs {
-		kvs[i] = wire.KV{Key: kv.Key, Tag: kv.Tag, Rec: kv.Rec}
-	}
-	return kvs
 }
 
 func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, error) {
@@ -171,45 +149,21 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	if !ok {
 		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *wire.OpSpec", r.JobName, r.Op)
 	}
-	if len(r.Inputs) == 0 {
-		// Classic path: the controller gathered and sorted the pairs.
-		res, err := e.f.dispatch(&wire.Task{
-			Job:       r.JobName,
-			Task:      r.TaskName,
-			Kind:      "reduce",
-			Op:        op,
-			Partition: r.Partition,
-			Pairs:     toWireKVs(r.Pairs),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
-	}
-
-	// Peer path: ship the segment list; the worker pulls handle
-	// segments from their producers and sorts the assembly. Empty
-	// segments carry no pairs and are elided up front.
+	// Ship the segment list; the worker pulls each segment from its
+	// producer and sorts the assembly. Empty segments carry no pairs
+	// and are elided up front.
 	fetches := make([]wire.ShuffleRef, 0, len(r.Inputs))
 	handles := make([]*peerOutput, 0, len(r.Inputs))
 	for _, in := range r.Inputs {
-		if in.Handle != nil {
-			po, ok := in.Handle.(*peerOutput)
-			if !ok {
-				return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in.Handle)
-			}
-			if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
-				continue
-			}
-			fetches = append(fetches, wire.ShuffleRef{URL: po.url, ID: po.id, Part: r.Partition})
-			handles = append(handles, po)
+		po, ok := in.Handle.(*peerOutput)
+		if !ok {
+			return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in.Handle)
+		}
+		if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
 			continue
 		}
-		if len(in.Pairs) == 0 {
-			continue
-		}
-		fetches = append(fetches, wire.ShuffleRef{Pairs: toWireKVs(in.Pairs)})
-		handles = append(handles, nil)
+		fetches = append(fetches, wire.ShuffleRef{URL: po.url, ID: po.id, Part: r.Partition})
+		handles = append(handles, po)
 	}
 	task := &wire.Task{
 		Job:       r.JobName,
@@ -221,8 +175,8 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	}
 	// Fallback ladder: a failed peer fetch inlines that one segment
 	// through the mirror and retries; transport exhaustion (or a fleet
-	// with no live peer-capable worker left) inlines everything and
-	// runs the reduce as a classic task any worker can serve.
+	// with no live worker left) inlines every segment and dispatches
+	// once more.
 	for {
 		res, err := e.f.dispatch(task)
 		if err == nil {
@@ -248,28 +202,26 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 }
 
 // reduceInline is the bottom rung of the fallback ladder: recover
-// every remaining peer segment through the controller mirror,
-// assemble and sort the partition controller-side (exactly the
-// classic gather), and dispatch it as a plain pairs-carrying reduce
-// that any worker — peer-capable or not — can run.
+// every remaining peer segment through the controller mirror and
+// dispatch the reduce with all segments inline, in the same order, so
+// it depends on no peer at all. The worker's stable sort of the
+// concatenation gives the same order the peer path would.
 func (e executor) reduceInline(task *wire.Task, fetches []wire.ShuffleRef, handles []*peerOutput, partition int, cause error) (*mapreduce.ReduceExecOut, error) {
-	var pairs []wire.KV
+	inline := make([]wire.ShuffleRef, len(fetches))
 	for i := range fetches {
 		if handles[i] == nil {
-			pairs = append(pairs, fetches[i].Pairs...)
+			inline[i] = fetches[i]
 			continue
 		}
 		seg, err := handles[i].recover(partition)
 		if err != nil {
 			return nil, fmt.Errorf("%w (falling back from: %v)", err, cause)
 		}
-		pairs = append(pairs, seg...)
+		inline[i] = wire.ShuffleRef{Pairs: seg}
 	}
-	wire.SortKVs(pairs)
-	legacy := *task
-	legacy.Fetches = nil
-	legacy.Pairs = pairs
-	res, err := e.f.dispatch(&legacy)
+	retry := *task
+	retry.Fetches = inline
+	res, err := e.f.dispatch(&retry)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,15 @@
 // Package procruntime is the real multi-process execution backend: a
 // controller embedded in the client process (dynoql/dynod) plus
-// dynoworker processes speaking HTTP/JSON. Workers register with the
-// controller and heartbeat; every map/reduce task body is dispatched
-// to a worker, which executes the job's serialized operator against
-// file-backed DFS blocks mirrored to local disk. The discrete-event
-// simulator keeps running controller-side as the scheduler and
-// virtual-time accountant, so plans, rows, and job counts match the
-// sim backend exactly (the differential contract) while task bodies
-// consume honest wall-clock on real processes.
+// dynoworker processes. Workers register with the controller and
+// heartbeat over a small JSON control plane; every map/reduce task
+// body travels to a worker in a wave-batched binary frame, the worker
+// executes the job's serialized operator against DFS blocks mirrored
+// to local disk as binary block frames, and shuffle data moves
+// worker-to-worker without passing through the controller. The
+// discrete-event simulator keeps running controller-side as the
+// scheduler and virtual-time accountant, so plans, rows, and job
+// counts match the sim backend exactly (the differential contract)
+// while task bodies consume honest wall-clock on real processes.
 //
 // Fault model (mirroring the simulator's PR 2 semantics at the
 // dispatch layer): per-task timeouts, bounded retries on distinct
@@ -18,7 +20,6 @@ package procruntime
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/tpch"
@@ -64,19 +64,6 @@ type Config struct {
 	// 1s / 10s.
 	Heartbeat  time.Duration
 	StaleAfter time.Duration
-	// Codec picks the task payload codec for workers that support it:
-	// "" or "bin" negotiates the binary frame codec at registration,
-	// "json" is the kill-switch back to the PR 8 JSON data plane
-	// (tagged-array images, JSONL block mirrors).
-	Codec string
-	// DisableBatch turns off wave-batched dispatch: every task goes
-	// out as its own POST (the PR 8 behavior), regardless of worker
-	// capability.
-	DisableBatch bool
-	// DisablePeerShuffle turns off worker-to-worker shuffle: map
-	// outputs round-trip through the controller (the PR 8/9 data
-	// plane), regardless of worker capability.
-	DisablePeerShuffle bool
 	// BatchLinger is how long a worker's batcher waits after the first
 	// task of an idle period for wave co-arrivals before sending;
 	// tasks arriving while an RPC is in flight ride the next batch for
@@ -117,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 10 * time.Second
 	}
-	if c.Codec == "" {
-		c.Codec = wire.CodecBinary
-	}
 	if c.BatchLinger == 0 {
 		c.BatchLinger = 500 * time.Microsecond
 	}
@@ -138,14 +122,7 @@ type workerState struct {
 	fails    int
 	black    bool
 	lastSeen time.Time
-	// codec, batch, and peer are fixed at registration (negotiated
-	// from the worker's announced capabilities and the fleet's
-	// kill-switches).
-	codec string
-	batch bool
-	peer  bool
-	// batcher conflates concurrent dispatches into one RPC; nil for
-	// per-task workers.
+	// batcher conflates concurrent dispatches into one RPC.
 	batcher *batcher
 }
 
@@ -192,19 +169,19 @@ type Fleet struct {
 
 // WireStats is a snapshot of the fleet's dispatch-plane counters.
 type WireStats struct {
-	// RPCs is the number of task-carrying HTTP round-trips (batched or
-	// single); Tasks counts task attempts carried by them.
+	// RPCs is the number of task-carrying HTTP round-trips; Tasks
+	// counts task attempts carried by them.
 	RPCs  int64 `json:"rpcs"`
 	Tasks int64 `json:"tasks"`
 	// BytesOut/BytesIn are request/response payload bytes.
 	BytesOut int64 `json:"bytesOut"`
 	BytesIn  int64 `json:"bytesIn"`
 	// CtlShuffleBytes is shuffle payload carried on the controller's
-	// dispatch plane (map-output pairs returned to the controller,
-	// reduce-input pairs shipped back out, inline fallback segments),
-	// measured in the worker's negotiated codec. PeerShuffleBytes is
-	// shuffle payload fetched worker-to-worker, bypassing the
-	// controller; PeerFetches counts those fetch RPCs.
+	// dispatch plane, measured as binary shuffle frames; only the
+	// mirror fallback puts it there (map outputs recovered after a
+	// peer died, and the inline segments shipped back out).
+	// PeerShuffleBytes is shuffle payload fetched worker-to-worker,
+	// bypassing the controller; PeerFetches counts those fetch RPCs.
 	CtlShuffleBytes  int64 `json:"ctlShuffleBytes"`
 	PeerShuffleBytes int64 `json:"peerShuffleBytes"`
 	PeerFetches      int64 `json:"peerFetches"`
@@ -287,52 +264,34 @@ func (f *Fleet) logf(format string, args ...any) {
 	}
 }
 
-// RegisterWorker adds a worker by base URL with the zero capability
-// set (JSON, one task per POST — the PR 8 data plane) and returns its
-// id. In-process tests and old workers land here.
-func (f *Fleet) RegisterWorker(url string) int {
-	return f.RegisterWorkerCaps(url, wire.Caps{})
-}
-
-// RegisterWorkerCaps adds a worker, negotiating the wire codec,
-// batching, and peer shuffle from its announced capabilities and the
-// fleet's kill-switches: binary frames when the worker speaks them
-// and Config.Codec is not "json", batched /tasks dispatch when the
-// worker supports it and batching is not disabled, peer shuffle when
-// the worker serves /shuffle and DisablePeerShuffle is off.
-func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) int {
-	codec := wire.CodecJSON
-	if f.cfg.Codec != wire.CodecJSON && caps.Supports(f.cfg.Codec) {
-		codec = f.cfg.Codec
+// RegisterWorkerCaps adds a worker by base URL and returns its id. The
+// worker must announce the whole data plane (wire.Caps.Validate), and
+// the fleet must still be open.
+func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) (int, error) {
+	if err := caps.Validate(); err != nil {
+		return 0, err
 	}
-	batch := caps.Batch && !f.cfg.DisableBatch
-	peer := caps.PeerShuffle && !f.cfg.DisablePeerShuffle
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return 0, errFleetClosed
+	}
 	for _, w := range f.workers {
 		if w.url == url {
-			// Re-registration (worker restart): reset its standing and
-			// renegotiate (a redeployed worker may have new caps).
+			// Re-registration (worker restart): reset its standing.
 			w.fails, w.black, w.lastSeen = 0, false, time.Now()
-			w.codec = codec
-			if batch && w.batcher == nil {
-				w.batcher = newBatcher(f, w)
-			}
-			w.batch = batch
-			w.peer = peer
-			return w.id
+			return w.id, nil
 		}
 	}
 	f.nextID++
-	id := f.nextID
-	w := &workerState{id: id, url: url, lastSeen: time.Now(), codec: codec, batch: batch, peer: peer}
-	if batch {
-		w.batcher = newBatcher(f, w)
-	}
-	f.workers[id] = w
-	f.logf("procruntime: worker %d registered at %s (codec=%s batch=%v peer=%v)", id, url, codec, batch, peer)
-	return id
+	w := &workerState{id: f.nextID, url: url, lastSeen: time.Now()}
+	w.batcher = newBatcher(f, w)
+	f.workers[w.id] = w
+	f.logf("procruntime: worker %d registered at %s", w.id, url)
+	return w.id, nil
 }
+
+var errFleetClosed = fmt.Errorf("procruntime: fleet is closed")
 
 // Workers returns the number of live (non-blacklisted, fresh)
 // workers.
@@ -413,23 +372,24 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad register payload", http.StatusBadRequest)
 		return
 	}
-	id := f.RegisterWorkerCaps(req.URL, req.Caps)
+	id, err := f.RegisterWorkerCaps(req.URL, req.Caps)
+	if err == errFleetClosed {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	udf, err := json.Marshal(f.cfg.UDF)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	f.mu.Lock()
-	ws := f.workers[id]
-	codec, batch, peer := ws.codec, ws.batch, ws.peer
-	f.mu.Unlock()
 	json.NewEncoder(w).Encode(wire.RegisterResponse{
 		ID:              id,
 		HeartbeatMillis: int(f.cfg.Heartbeat / time.Millisecond),
 		UDF:             udf,
-		Codec:           codec,
-		Batch:           batch,
-		Peer:            peer,
 	})
 }
 
@@ -494,20 +454,9 @@ func (f *Fleet) filePaths(file *dfs.File) ([]string, string, error) {
 		}
 		n := file.NumBlocks()
 		paths := make([]string, n)
-		binary := f.cfg.Codec != wire.CodecJSON
-		ext := ".jsonl"
-		if binary {
-			ext = ".blk"
-		}
 		for i := 0; i < n; i++ {
-			p := filepath.Join(m.dir, "b"+strconv.Itoa(i)+ext)
-			var err error
-			if binary {
-				err = wire.WriteBlockFileBin(p, file.Block(i).Records())
-			} else {
-				err = writeBlockFile(p, file.Block(i).Records())
-			}
-			if err != nil {
+			p := filepath.Join(m.dir, "b"+strconv.Itoa(i)+".blk")
+			if err := wire.WriteBlockFileBin(p, file.Block(i).Records()); err != nil {
 				m.err = err
 				return
 			}
@@ -533,23 +482,9 @@ func (f *Fleet) blockPath(file *dfs.File, split int) (string, error) {
 	return paths[split], nil
 }
 
-// writeBlockFile writes one DFS block as wire-encoded JSON lines.
-func writeBlockFile(path string, recs []data.Value) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, rec := range recs {
-		if err := enc.Encode(wire.EncodeValue(rec)); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
 // pickWorker returns the next live worker not in tried, round-robin;
-// callers get nil when none remain. needPeer restricts the pick to
-// peer-shuffle workers — tasks carrying a fetch list are only
-// intelligible to them.
-func (f *Fleet) pickWorker(tried map[int]bool, needPeer bool) *workerState {
+// callers get nil when none remain.
+func (f *Fleet) pickWorker(tried map[int]bool) *workerState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ids := make([]int, 0, len(f.workers))
@@ -560,28 +495,11 @@ func (f *Fleet) pickWorker(tried map[int]bool, needPeer bool) *workerState {
 	for range ids {
 		f.rr++
 		w := f.workers[ids[f.rr%len(ids)]]
-		if f.alive(w) && !tried[w.id] && (!needPeer || w.peer) {
+		if f.alive(w) && !tried[w.id] {
 			return w
 		}
 	}
 	return nil
-}
-
-// taskFor adapts a task to one worker's negotiated protocol: peer
-// workers get it verbatim; for capability-less workers the
-// peer-shuffle fields are stripped (a shallow copy) so the task runs
-// as a plain PR 8 map whose output returns through the controller.
-// Fetch-carrying tasks never reach non-peer workers (pickWorker
-// guards), so only the map-side retain fields need stripping.
-func taskFor(w *workerState, task *wire.Task) *wire.Task {
-	if w.peer || (!task.RetainShuffle && task.ShuffleID == "") {
-		return task
-	}
-	t := *task
-	t.RetainShuffle = false
-	t.ShuffleID = ""
-	t.ByteScale = 0
-	return &t
 }
 
 func (f *Fleet) noteSuccess(w *workerState, kind string, d time.Duration) {
@@ -619,70 +537,6 @@ func (f *Fleet) hedgeDelay(kind string) time.Duration {
 		d = f.cfg.HedgeMin
 	}
 	return d
-}
-
-// post runs one single-task dispatch attempt against one worker: the
-// legacy per-task JSON POST, used for workers that did not negotiate
-// batching. The fleet's keep-alive client carries it; the per-attempt
-// deadline rides the request context, so one attempt never tears down
-// the pooled connection state the way a throwaway per-call client
-// would.
-func (f *Fleet) post(w *workerState, task *wire.Task) (*wire.TaskResult, error) {
-	payload, err := json.Marshal(taskFor(w, task).Request())
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.TaskTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/task", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	f.statRPCs.Add(1)
-	f.statTasks.Add(1)
-	f.statBytesOut.Add(int64(len(payload)))
-	resp, err := f.client.Do(req)
-	if err != nil {
-		f.noteFailure(w)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		f.noteFailure(w)
-		return nil, fmt.Errorf("worker %s: read response: %v", w.url, err)
-	}
-	f.statBytesIn.Add(int64(len(body)))
-	if resp.StatusCode != http.StatusOK {
-		f.noteFailure(w)
-		if len(body) > 4096 {
-			body = body[:4096]
-		}
-		return nil, fmt.Errorf("worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var tr wire.TaskResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		f.noteFailure(w)
-		return nil, fmt.Errorf("worker %s: bad response: %v", w.url, err)
-	}
-	return wire.ResultFromResponse(&tr)
-}
-
-// send runs one attempt of a task on one worker, routing through the
-// worker's batcher when batching was negotiated at registration.
-// urgent attempts (retries, hedges) ride the batcher's priority lane
-// ahead of queued wave batches. RPC transport failures are recorded
-// against the worker by the RPC layer (post / the batcher), once per
-// failed RPC — not once per task a failed batch happened to carry.
-func (f *Fleet) send(w *workerState, task *wire.Task, urgent bool) (*wire.TaskResult, error) {
-	f.mu.Lock()
-	b := w.batcher
-	f.mu.Unlock()
-	if b != nil {
-		return b.do(task, urgent)
-	}
-	return f.post(w, task)
 }
 
 // taskFailedError is a deterministic task failure: the worker ran the
@@ -732,9 +586,7 @@ func (f *Fleet) RetireJob(jobName string) {
 	f.mu.Lock()
 	urls := make([]string, 0, len(f.workers))
 	for _, w := range f.workers {
-		if w.peer {
-			urls = append(urls, w.url)
-		}
+		urls = append(urls, w.url)
 	}
 	f.mu.Unlock()
 	for _, u := range urls {
@@ -755,18 +607,17 @@ func (f *Fleet) RetireJob(jobName string) {
 }
 
 // countShuffle attributes one successful attempt's shuffle traffic:
-// pairs that crossed the controller's dispatch plane (in the worker's
-// negotiated codec) versus bytes the worker pulled from peers.
-func (f *Fleet) countShuffle(w *workerState, task *wire.Task, res *wire.TaskResult) {
+// pairs that crossed the controller's dispatch plane versus bytes the
+// worker pulled from peers.
+func (f *Fleet) countShuffle(task *wire.Task, res *wire.TaskResult) {
 	var ctl int64
-	ctl += wire.ShuffleWireBytes(w.codec, task.Pairs)
 	for i := range task.Fetches {
 		if task.Fetches[i].ID == "" {
-			ctl += wire.ShuffleWireBytes(w.codec, task.Fetches[i].Pairs)
+			ctl += wire.ShuffleWireBytes(task.Fetches[i].Pairs)
 		}
 	}
 	for _, part := range res.Pairs {
-		ctl += wire.ShuffleWireBytes(w.codec, part)
+		ctl += wire.ShuffleWireBytes(part)
 	}
 	if ctl != 0 {
 		f.statCtlShufB.Add(ctl)
@@ -784,7 +635,9 @@ func (f *Fleet) countShuffle(w *workerState, task *wire.Task, res *wire.TaskResu
 // fast on deterministic operator errors (retrying those elsewhere
 // would fail identically and mask bugs). Batching changes only how
 // attempts travel — each task still retries, hedges, and fails
-// independently of its batchmates.
+// independently of its batchmates. Retries and hedges ride the
+// batcher's priority lane ahead of queued wave batches, and a failed
+// RPC counts once against its worker, not once per task it carried.
 func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 	type attempt struct {
 		res     *wire.TaskResult
@@ -794,16 +647,15 @@ func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 	}
 	results := make(chan attempt, f.cfg.MaxAttempts+1)
 	tried := map[int]bool{}
-	needPeer := len(task.Fetches) > 0
 	launch := func(urgent bool) bool {
-		w := f.pickWorker(tried, needPeer)
+		w := f.pickWorker(tried)
 		if w == nil {
 			return false
 		}
 		tried[w.id] = true
 		go func() {
 			start := time.Now()
-			res, err := f.send(w, task, urgent)
+			res, err := w.batcher.do(task, urgent)
 			results <- attempt{res: res, err: err, w: w, elapsed: time.Since(start)}
 		}()
 		return true
@@ -822,7 +674,7 @@ func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 			inflight--
 			if a.err == nil && a.res.Err == "" {
 				a.res.Worker = a.w.url
-				f.countShuffle(a.w, task, a.res)
+				f.countShuffle(task, a.res)
 				f.noteSuccess(a.w, task.Kind, a.elapsed)
 				return a.res, nil
 			}

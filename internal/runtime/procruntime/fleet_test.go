@@ -14,9 +14,13 @@ import (
 )
 
 // These tests exercise the dispatch engine directly with stub HTTP
-// workers: retry on transport failure (on distinct workers),
-// fail-fast on deterministic operator errors, blacklisting after
-// consecutive failures, staleness, and the straggler hedge.
+// workers serving binary /tasks batches: retry on transport failure
+// (on distinct workers), fail-fast on deterministic operator errors,
+// blacklisting after consecutive failures, staleness, the straggler
+// hedge, and the registration handshake.
+
+// fullCaps is what cmd/dynoworker announces.
+var fullCaps = wire.Caps{Codecs: []string{wire.CodecBinary}, Batch: true, PeerShuffle: true}
 
 // newBareFleet builds a fleet with test-friendly defaults: no
 // heartbeat staleness, hedge effectively off unless a test opts in.
@@ -36,25 +40,18 @@ func newBareFleet(t *testing.T, cfg Config) *Fleet {
 	return f
 }
 
-// stubWorker serves /task with the given handler and cleans up with
-// the test.
-func stubWorker(t *testing.T, handler http.HandlerFunc) *httptest.Server {
+// register adds a fully capable worker to the fleet.
+func register(t *testing.T, f *Fleet, url string) int {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /task", handler)
-	// Fleet.Close drains workers; accept it quietly.
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	id, err := f.RegisterWorkerCaps(url, fullCaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
-func respond(t *testing.T, w http.ResponseWriter, resp wire.TaskResponse) {
-	t.Helper()
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		t.Errorf("encode stub response: %v", err)
-	}
-}
+// failRPC is a batchStub handler result that fails the whole RPC.
+func failRPC(*wire.Task) *wire.TaskResult { return nil }
 
 // TestDispatchRetriesOnDistinctWorkers: transport failures are
 // retried, each attempt on a worker not yet tried for this task.
@@ -63,18 +60,11 @@ func respond(t *testing.T, w http.ResponseWriter, resp wire.TaskResponse) {
 // reached only after both bad workers fail once each.
 func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 3})
-	var goodHits, badHits atomic.Int32
-	good := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		goodHits.Add(1)
-		respond(t, w, wire.TaskResponse{CPUSeconds: 1})
-	})
-	bad := func(w http.ResponseWriter, r *http.Request) {
-		badHits.Add(1)
-		http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
-	}
-	f.RegisterWorker(good.URL)
-	f.RegisterWorker(stubWorker(t, bad).URL)
-	f.RegisterWorker(stubWorker(t, bad).URL)
+	good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
+	bad1, bad2 := newBatchStub(t, failRPC), newBatchStub(t, failRPC)
+	register(t, f, good.srv.URL)
+	register(t, f, bad1.srv.URL)
+	register(t, f, bad2.srv.URL)
 
 	resp, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
 	if err != nil {
@@ -83,12 +73,12 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	if resp.CPUSeconds != 1 {
 		t.Fatalf("got response %+v, want the good worker's", resp)
 	}
-	if got := goodHits.Load(); got != 1 {
+	if got := good.rpcs.Load(); got != 1 {
 		t.Errorf("good worker hit %d times, want 1", got)
 	}
 	// Both bad workers were tried exactly once: retries land on
 	// distinct workers, never re-posting to one that already failed.
-	if got := badHits.Load(); got != 2 {
+	if got := bad1.rpcs.Load() + bad2.rpcs.Load(); got != 2 {
 		t.Errorf("bad workers hit %d times total, want 2 (once each)", got)
 	}
 }
@@ -97,14 +87,11 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 // transport, dispatch reports the failure after MaxAttempts.
 func TestDispatchExhaustsAttempts(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 2})
-	var hits atomic.Int32
-	bad := func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
+	var stubs []*batchStub
+	for i := 0; i < 3; i++ {
+		stubs = append(stubs, newBatchStub(t, failRPC))
+		register(t, f, stubs[i].srv.URL)
 	}
-	f.RegisterWorker(stubWorker(t, bad).URL)
-	f.RegisterWorker(stubWorker(t, bad).URL)
-	f.RegisterWorker(stubWorker(t, bad).URL)
 
 	_, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
 	if err == nil {
@@ -113,32 +100,26 @@ func TestDispatchExhaustsAttempts(t *testing.T) {
 	if !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("error = %v, want attempt-exhaustion", err)
 	}
-	if got := hits.Load(); got != 2 {
+	if got := stubs[0].rpcs.Load() + stubs[1].rpcs.Load() + stubs[2].rpcs.Load(); got != 2 {
 		t.Errorf("workers hit %d times, want MaxAttempts=2", got)
 	}
 }
 
 // TestDispatchFailFastOnOperatorError: a worker that answers HTTP 200
-// with TaskResponse.Err reports a deterministic operator failure —
+// with TaskResult.Err reports a deterministic operator failure —
 // retrying it elsewhere would fail identically, so dispatch must not.
 func TestDispatchFailFastOnOperatorError(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 3})
-	var otherHits atomic.Int32
-	other := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		otherHits.Add(1)
-		respond(t, w, wire.TaskResponse{})
-	})
-	failing := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		respond(t, w, wire.TaskResponse{Err: "unknown function frob"})
-	})
-	f.RegisterWorker(other.URL)   // id 1: would absorb a (wrong) retry
-	f.RegisterWorker(failing.URL) // id 2: picked first by round-robin
+	other := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{} })
+	failing := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{Err: "unknown function frob"} })
+	register(t, f, other.srv.URL)   // id 1: would absorb a (wrong) retry
+	register(t, f, failing.srv.URL) // id 2: picked first by round-robin
 
 	_, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
 	if err == nil || !strings.Contains(err.Error(), "unknown function frob") {
 		t.Fatalf("error = %v, want the operator error surfaced", err)
 	}
-	if got := otherHits.Load(); got != 0 {
+	if got := other.rpcs.Load(); got != 0 {
 		t.Errorf("operator error was retried on another worker (%d hits)", got)
 	}
 	// The failing worker's standing is untouched: deterministic errors
@@ -153,10 +134,8 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 // no live workers instead of spinning.
 func TestDispatchBlacklist(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 1, BlacklistAfter: 3})
-	bad := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
-	})
-	f.RegisterWorker(bad.URL)
+	bad := newBatchStub(t, failRPC)
+	register(t, f, bad.srv.URL)
 
 	for i := 0; i < 3; i++ {
 		if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}); err == nil {
@@ -172,7 +151,7 @@ func TestDispatchBlacklist(t *testing.T) {
 	}
 
 	// Re-registration (worker restart) restores its standing.
-	f.RegisterWorker(bad.URL)
+	register(t, f, bad.srv.URL)
 	if got := f.Workers(); got != 1 {
 		t.Fatalf("live workers = %d after re-registration, want 1", got)
 	}
@@ -183,15 +162,14 @@ func TestDispatchBlacklist(t *testing.T) {
 func TestDispatchSuccessResetsFailures(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 1, BlacklistAfter: 2})
 	var n atomic.Int32
-	flaky := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+	flaky := newBatchStub(t, func(*wire.Task) *wire.TaskResult {
 		// Fail, succeed, fail, succeed, ...: never two in a row.
 		if n.Add(1)%2 == 1 {
-			http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
-			return
+			return nil
 		}
-		respond(t, w, wire.TaskResponse{})
+		return &wire.TaskResult{}
 	})
-	f.RegisterWorker(flaky.URL)
+	register(t, f, flaky.srv.URL)
 
 	for i := 0; i < 6; i++ {
 		f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
@@ -202,21 +180,22 @@ func TestDispatchSuccessResetsFailures(t *testing.T) {
 }
 
 // TestDispatchHedgesStragglers: once an attempt exceeds the hedge
-// threshold, a speculative duplicate runs on another worker and the
-// first answer wins — the dispatcher does not wait out the straggler.
+// threshold — here while stuck inside a batched RPC — a speculative
+// duplicate runs on another worker over the priority lane and the
+// first answer wins; the dispatcher does not wait out the straggler.
 func TestDispatchHedgesStragglers(t *testing.T) {
 	f := newBareFleet(t, Config{MaxAttempts: 3, HedgeMin: 50 * time.Millisecond})
 	var order atomic.Int32
-	handler := func(w http.ResponseWriter, r *http.Request) {
+	handler := func(*wire.Task) *wire.TaskResult {
 		// The first request to arrive anywhere is the straggler.
 		seq := order.Add(1)
 		if seq == 1 {
 			time.Sleep(1 * time.Second)
 		}
-		respond(t, w, wire.TaskResponse{CPUSeconds: float64(seq)})
+		return &wire.TaskResult{CPUSeconds: float64(seq)}
 	}
-	f.RegisterWorker(stubWorker(t, handler).URL)
-	f.RegisterWorker(stubWorker(t, handler).URL)
+	register(t, f, newBatchStub(t, handler).srv.URL)
+	register(t, f, newBatchStub(t, handler).srv.URL)
 
 	start := time.Now()
 	resp, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
@@ -235,10 +214,8 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 // dispatch eligibility after StaleAfter and returns on heartbeat.
 func TestWorkersGoStaleWithoutHeartbeat(t *testing.T) {
 	f := newBareFleet(t, Config{StaleAfter: 50 * time.Millisecond})
-	ok := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		respond(t, w, wire.TaskResponse{})
-	})
-	id := f.RegisterWorker(ok.URL)
+	ok := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{} })
+	id := register(t, f, ok.srv.URL)
 	if got := f.Workers(); got != 1 {
 		t.Fatalf("live workers = %d, want 1", got)
 	}
@@ -274,5 +251,48 @@ func TestWorkersGoStaleWithoutHeartbeat(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("unknown-id heartbeat: HTTP %d, want %d", resp.StatusCode, http.StatusGone)
+	}
+}
+
+// TestRegistrationRefused: the controller validates the handshake. A
+// worker lacking any part of the data plane is refused with 400, a
+// registration after Close fails with an error status instead of
+// joining a dead fleet (or dereferencing its emptied registry), and
+// neither appears in Workers().
+func TestRegistrationRefused(t *testing.T) {
+	f := newBareFleet(t, Config{})
+	post := func(caps wire.Caps) int {
+		t.Helper()
+		payload, err := json.Marshal(wire.RegisterRequest{URL: "http://127.0.0.1:1", Caps: caps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		f.handleRegister(rec, httptest.NewRequest(http.MethodPost, "/runtime/register", bytes.NewReader(payload)))
+		return rec.Code
+	}
+	for _, caps := range []wire.Caps{
+		{},
+		{Codecs: []string{"json"}, Batch: true, PeerShuffle: true},
+		{Codecs: []string{wire.CodecBinary}, PeerShuffle: true},
+		{Codecs: []string{wire.CodecBinary}, Batch: true},
+	} {
+		if code := post(caps); code != http.StatusBadRequest {
+			t.Errorf("caps %+v: HTTP %d, want %d", caps, code, http.StatusBadRequest)
+		}
+	}
+	if got := f.Workers(); got != 0 {
+		t.Fatalf("live workers = %d after refused registrations, want 0", got)
+	}
+
+	f.Close()
+	if code := post(fullCaps); code < 400 {
+		t.Errorf("registration after Close: HTTP %d, want an error status", code)
+	}
+	if _, err := f.RegisterWorkerCaps("http://127.0.0.1:2", fullCaps); err == nil {
+		t.Error("RegisterWorkerCaps after Close succeeded")
+	}
+	if got := f.Workers(); got != 0 {
+		t.Fatalf("live workers = %d after Close, want 0", got)
 	}
 }

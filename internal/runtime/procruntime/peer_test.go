@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,16 +17,15 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-// rowsJSON renders rows as canonical wire images for comparison.
-func rowsJSON(t *testing.T, rows []data.Value) []string {
-	t.Helper()
+// rowStrings renders rows for comparison as their binary block
+// encodings, which are exact (unlike String(), they tell an int from
+// an integral double).
+func rowStrings(rows []data.Value) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		b, err := json.Marshal(wire.EncodeValue(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(b)
+		f := wire.EncodeBlock([]data.Value{r})
+		out[i] = string(f.Bytes())
+		f.Close()
 	}
 	return out
 }
@@ -50,8 +50,6 @@ func workerStatus(t *testing.T, base string) WorkerStatus {
 // retained map outputs, direct reduce-side fetches, and the fallback
 // ladder down to the controller mirror when a producer dies.
 
-var peerCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true}
-
 // sumOp groups records {k, v} by k and sums v — the smallest op that
 // exercises the full map/shuffle/reduce path.
 func sumOp() *wire.OpSpec {
@@ -67,17 +65,22 @@ func sumOp() *wire.OpSpec {
 
 // newPeerHarness builds a fleet with n real peer-capable workers, a
 // DFS file of {k, v} records (one record per block, so each record is
-// its own map task), and the executor over them. It returns the
-// executor, the file, and the workers' servers by registration order.
-func newPeerHarness(t *testing.T, n, records int) (executor, *dfs.File, []*httptest.Server) {
+// its own map task), and the executor over them. A non-nil wrap
+// decorates every worker's handler. It returns the executor, the
+// file, and the workers' servers by registration order.
+func newPeerHarness(t *testing.T, n, records int, wrap func(http.Handler) http.Handler) (executor, *dfs.File, []*httptest.Server) {
 	t.Helper()
 	f := newBareFleet(t, Config{})
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		ts := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+		h := NewWorker(expr.NewRegistry()).Handler()
+		if wrap != nil {
+			h = wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		servers[i] = ts
-		f.RegisterWorkerCaps(ts.URL, peerCaps)
+		register(t, f, ts.URL)
 	}
 	fs := dfs.New(dfs.WithBlockSize(1))
 	w := fs.Create("in")
@@ -116,11 +119,7 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	for p := 0; p < numReducers; p++ {
 		inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
 		for _, out := range outs {
-			if out.Shuffle != nil {
-				inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
-				continue
-			}
-			inputs = append(inputs, mapreduce.ShuffleInput{Pairs: out.Pairs[p]})
+			inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
 		}
 		res, err := ex.ExecReduce(mapreduce.ReduceExec{
 			JobName:   "peerjob",
@@ -137,12 +136,11 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	return rows, outs
 }
 
-// TestPeerShuffleKeepsBytesOffController: with every worker
-// peer-capable, map outputs are retained on their producers and
-// reduce inputs travel worker-to-worker — the controller's dispatch
-// plane carries zero shuffle pairs.
+// TestPeerShuffleKeepsBytesOffController: map outputs are retained on
+// their producers and reduce inputs travel worker-to-worker — the
+// controller's dispatch plane carries zero shuffle pairs.
 func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
-	ex, file, _ := newPeerHarness(t, 2, 8)
+	ex, file, _ := newPeerHarness(t, 2, 8, nil)
 	rows, outs := runPeerJob(t, ex, file, 2)
 	for i, out := range outs {
 		if out.Shuffle == nil {
@@ -166,7 +164,7 @@ func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 	}
 	st := ex.f.WireStats()
 	if st.CtlShuffleBytes != 0 {
-		t.Errorf("controller carried %d shuffle bytes, want 0 with an all-peer fleet", st.CtlShuffleBytes)
+		t.Errorf("controller carried %d shuffle bytes, want 0 with every peer up", st.CtlShuffleBytes)
 	}
 	// With one record per block spread over two workers, at least one
 	// reduce input segment lives on the other worker.
@@ -183,7 +181,7 @@ func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 // fetch is recovered by re-running the deterministic map through the
 // controller mirror and inlining the segment.
 func TestPeerDeathFallsBackToMirror(t *testing.T) {
-	ex, file, servers := newPeerHarness(t, 2, 8)
+	ex, file, servers := newPeerHarness(t, 2, 8, nil)
 	want, outs := runPeerJob(t, ex, file, 2)
 
 	// Kill the producer of the first map's output; every handle whose
@@ -216,9 +214,9 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reduce %d after peer death: %v", p, err)
 		}
-		if !reflect.DeepEqual(rowsJSON(t, res.Rows), rowsJSON(t, want[p])) {
+		if !reflect.DeepEqual(rowStrings(res.Rows), rowStrings(want[p])) {
 			t.Errorf("partition %d rows changed after mirror fallback:\ngot  %v\nwant %v",
-				p, rowsJSON(t, res.Rows), rowsJSON(t, want[p]))
+				p, rowStrings(res.Rows), rowStrings(want[p]))
 		}
 	}
 	if st := ex.f.WireStats(); st.CtlShuffleBytes == 0 {
@@ -226,10 +224,58 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 	}
 }
 
+// TestTransportExhaustionInlinesEverySegment drives the bottom rung of
+// the fallback ladder: when every attempt of a reduce fails in
+// transport, the executor recovers each segment through the controller
+// mirror and dispatches the reduce with all segments inline, and the
+// rows must not change.
+func TestTransportExhaustionInlinesEverySegment(t *testing.T) {
+	var failNext atomic.Int32
+	flaky := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/tasks" && failNext.Add(-1) >= 0 {
+				http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	ex, file, _ := newPeerHarness(t, 2, 8, flaky)
+	want, outs := runPeerJob(t, ex, file, 2)
+
+	op := sumOp()
+	for p := 0; p < 2; p++ {
+		inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
+		for _, out := range outs {
+			inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
+		}
+		// Both workers fail their attempt, which exhausts the dispatch:
+		// only the full inline rung can still answer.
+		failNext.Store(2)
+		res, err := ex.ExecReduce(mapreduce.ReduceExec{
+			JobName:   "peerjob",
+			TaskName:  fmt.Sprintf("peerjob-r%d", p),
+			Partition: p,
+			Inputs:    inputs,
+			Op:        op,
+		})
+		if err != nil {
+			t.Fatalf("reduce %d after transport exhaustion: %v", p, err)
+		}
+		if !reflect.DeepEqual(rowStrings(res.Rows), rowStrings(want[p])) {
+			t.Errorf("partition %d rows changed after full inline fallback:\ngot  %v\nwant %v",
+				p, rowStrings(res.Rows), rowStrings(want[p]))
+		}
+	}
+	if st := ex.f.WireStats(); st.CtlShuffleBytes == 0 {
+		t.Error("full inline fallback shipped no controller-side shuffle bytes")
+	}
+}
+
 // TestShuffleGCOnJobRetirement: retiring a job broadcasts a GC that
 // empties every worker's shuffle registry for that job's blocks.
 func TestShuffleGCOnJobRetirement(t *testing.T) {
-	ex, file, servers := newPeerHarness(t, 2, 6)
+	ex, file, servers := newPeerHarness(t, 2, 6, nil)
 	_, outs := runPeerJob(t, ex, file, 2)
 	if outs[0].Shuffle == nil {
 		t.Fatal("map output not retained")

@@ -8,8 +8,9 @@
 //     deterministic, the CI reference arm; virtual timelines stay
 //     bit-identical to the pre-seam engine), and
 //   - procruntime: a real multi-process backend — worker processes
-//     (cmd/dynoworker) speaking HTTP/JSON execute every map/reduce
-//     task against file-backed DFS blocks on local disk, while the
+//     (cmd/dynoworker) receiving binary task frames over HTTP execute
+//     every map/reduce task against file-backed DFS blocks on local
+//     disk and shuffle worker-to-worker, while the
 //     simulator keeps driving scheduling and accounting in the
 //     controller.
 //

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,11 +35,31 @@ func assertSameValue(t *testing.T, want, got data.Value) {
 	if got.String() != want.String() {
 		t.Fatalf("round trip changed rendering: %q -> %q", want.String(), got.String())
 	}
+	if got.EncodedSize() != want.EncodedSize() {
+		t.Fatalf("round trip changed encoded size for %s: %d -> %d", want, want.EncodedSize(), got.EncodedSize())
+	}
 }
 
-// adversarialValues is the corpus the ISSUE calls out: 0x00-embedded
-// strings, the float64 exact-integer boundary, -0.0, non-finite
-// doubles, deep nesting, and strings past the interning cutoff.
+// taskRoundTrip pushes one task through a binary task batch frame.
+func taskRoundTrip(t *testing.T, task *Task) *Task {
+	t.Helper()
+	frame, err := EncodeTaskBatch([]*Task{task})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frame.Close()
+	got, err := DecodeTaskBatch(frame.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got[0]
+}
+
+// adversarialValues covers the codec's hard cases: 0x00-embedded and
+// escape-heavy strings, the float64 exact-integer boundary and ints
+// beyond it, integral doubles (must stay doubles), -0.0, non-finite
+// doubles, deep nesting, objects built out of field order, and strings
+// past the interning cutoff.
 func adversarialValues() []data.Value {
 	long := strings.Repeat("x", maxInternLen+1) // too long to intern
 	return []data.Value{
@@ -52,9 +72,11 @@ func adversarialValues() []data.Value {
 		data.Int(-(1 << 53)),
 		data.Int(math.MaxInt64),
 		data.Int(math.MinInt64),
+		data.Int(1<<62 + 3),
 		data.Double(0),
 		data.Double(math.Copysign(0, -1)), // -0.0
 		data.Double(0.1),
+		data.Double(3),
 		data.Double(math.MaxFloat64),
 		data.Double(math.SmallestNonzeroFloat64),
 		data.Double(math.Inf(1)),
@@ -63,6 +85,7 @@ func adversarialValues() []data.Value {
 		data.String(""),
 		data.String("a\x00b\x00"),
 		data.String("héllo, wörld"),
+		data.String("hello \"world\"\nline"),
 		data.String(long),
 		data.Array(),
 		data.Array(data.Int(1), data.String("x"), data.Null(), data.Array(data.Bool(false))),
@@ -71,6 +94,10 @@ func adversarialValues() []data.Value {
 			data.Field{Name: "s", Value: data.String("a\x00b")},
 			data.Field{Name: "d", Value: data.Double(-0.0)},
 			data.Field{Name: "o", Value: data.Object(data.Field{Name: "n", Value: data.Int(1 << 53)})},
+		),
+		data.Object(
+			data.Field{Name: "z", Value: data.Int(1)},
+			data.Field{Name: "a", Value: data.Int(2)},
 		),
 	}
 }
@@ -149,15 +176,15 @@ func TestBinObjectColumnAbsentVsNull(t *testing.T) {
 	}
 }
 
-func sampleTasks(t *testing.T) []*Task {
+func sampleTasks(t testing.TB) []*Task {
 	t.Helper()
 	filter := &ExprSpec{T: "cmp", Op: "<=",
 		L: &ExprSpec{T: "col", P: "l.l_quantity"},
-		R: &ExprSpec{T: "lit", V: EncodeValue(data.Double(24))}}
+		R: &ExprSpec{T: "lit", V: data.Double(24)}}
 	residual := &ExprSpec{T: "and", Xs: []*ExprSpec{
 		{T: "not", X: &ExprSpec{T: "cmp", Op: "=",
 			L: &ExprSpec{T: "col", P: "o.o_orderstatus"},
-			R: &ExprSpec{T: "lit", V: EncodeValue(data.String("F"))}}},
+			R: &ExprSpec{T: "lit", V: data.String("F")}}},
 		{T: "call", Name: "q9_keep_part", Args: []*ExprSpec{{T: "col", P: "p.p_name"}}},
 	}}
 	op := &OpSpec{
@@ -181,7 +208,7 @@ func sampleTasks(t *testing.T) []*Task {
 			{Expr: &ExprSpec{T: "col", P: "n.n_name"}, As: "nation"},
 			{Agg: "sum", Expr: &ExprSpec{T: "arith", Op: "*",
 				L: &ExprSpec{T: "col", P: "l.l_extendedprice"},
-				R: &ExprSpec{T: "lit", V: EncodeValue(data.Int(1))}}, As: "amount"},
+				R: &ExprSpec{T: "lit", V: data.Int(1)}}, As: "amount"},
 			{Star: true},
 		},
 		Combine: true,
@@ -199,18 +226,21 @@ func sampleTasks(t *testing.T) []*Task {
 		},
 		{
 			Job: "j1", Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3,
-			Pairs: []KV{
-				{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
-				{Key: data.String("k\x00"), Rec: data.Null()},
+			Fetches: []ShuffleRef{
+				{URL: "http://127.0.0.1:9001", ID: "j1-m0#1", Part: 3},
+				{Pairs: []KV{
+					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
+					{Key: data.String("k\x00"), Rec: data.Null()},
+				}},
 			},
 		},
 		{Job: "j2", Task: "j2-m0", Kind: "map", Op: &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "r"}}},
 	}
 }
 
-// TestBinTaskBatchRoundTrip proves the binary task codec carries the
-// exact payload the JSON protocol does: both tasks re-encode to the
-// same canonical JSON wire image.
+// TestBinTaskBatchRoundTrip proves the task codec loses nothing: the
+// decoded batch re-encodes to the identical frame (the encoder writes
+// every field, so any dropped or altered field changes the bytes).
 func TestBinTaskBatchRoundTrip(t *testing.T) {
 	tasks := sampleTasks(t)
 	frame, err := EncodeTaskBatch(tasks)
@@ -225,18 +255,16 @@ func TestBinTaskBatchRoundTrip(t *testing.T) {
 	if len(got) != len(tasks) {
 		t.Fatalf("batch count %d -> %d", len(tasks), len(got))
 	}
-	for i := range tasks {
-		want, err := json.Marshal(tasks[i].Request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		have, err := json.Marshal(got[i].Request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != string(have) {
-			t.Fatalf("task %d changed across binary round trip:\n  %s\n  %s", i, want, have)
-		}
+	again, err := EncodeTaskBatch(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if !bytes.Equal(frame.Bytes(), again.Bytes()) {
+		t.Fatalf("task batch changed across a binary round trip:\n  %q\n  %q", frame.Bytes(), again.Bytes())
+	}
+	if lit := got[0].Builds[0].Filter.R.V; lit.Kind() != data.KindDouble || lit.Float() != 24 {
+		t.Fatalf("literal decoded as %s (%v), want the double 24", lit, lit.Kind())
 	}
 }
 
@@ -263,12 +291,13 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 	if len(got) != len(results) {
 		t.Fatalf("batch count %d -> %d", len(results), len(got))
 	}
-	for i := range results {
-		want, _ := json.Marshal(results[i].Response())
-		have, _ := json.Marshal(got[i].Response())
-		if string(want) != string(have) {
-			t.Fatalf("result %d changed across binary round trip:\n  %s\n  %s", i, want, have)
-		}
+	again := EncodeResultBatch(got)
+	defer again.Close()
+	if !bytes.Equal(frame.Bytes(), again.Bytes()) {
+		t.Fatalf("result batch changed across a binary round trip:\n  %q\n  %q", frame.Bytes(), again.Bytes())
+	}
+	for i, v := range results[0].Rows {
+		assertSameValue(t, v, got[0].Rows[i])
 	}
 }
 
@@ -295,9 +324,9 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBlockFileSniff pins the mixed-mirror contract: workers detect
-// the block file format by magic, so binary and JSONL mirrors coexist
-// during a codec rollback.
+// TestBlockFileSniff pins the block mirror format: a written block
+// file decodes back to its records, and bytes without the block magic
+// are refused rather than misread.
 func TestBlockFileSniff(t *testing.T) {
 	recs := adversarialValues()
 	path := filepath.Join(t.TempDir(), "b0.blk")
@@ -308,9 +337,6 @@ func TestBlockFileSniff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBlockFrame(b) {
-		t.Fatal("binary block file not recognized by magic")
-	}
 	got, err := DecodeBlock(b)
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +344,10 @@ func TestBlockFileSniff(t *testing.T) {
 	for i := range recs {
 		assertSameValue(t, recs[i], got[i])
 	}
-	if IsBlockFrame([]byte(`["i","1"]` + "\n")) {
-		t.Fatal("JSONL misdetected as a binary frame")
+	for _, other := range [][]byte{[]byte(`["i","1"]` + "\n"), []byte("DYS1"), []byte("DYB")} {
+		if _, err := DecodeBlock(other); err == nil {
+			t.Fatalf("DecodeBlock accepted %q", other)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 type ExprSpec struct {
 	T    string      `json:"t"`              // col lit cmp and or not arith call
 	P    string      `json:"p,omitempty"`    // col: path
-	V    any         `json:"v,omitempty"`    // lit: EncodeValue image
+	V    data.Value  `json:"v,omitempty"`    // lit
 	Op   string      `json:"op,omitempty"`   // cmp: = <> < <= > >=; arith: + - * /
 	L    *ExprSpec   `json:"l,omitempty"`    // cmp, arith
 	R    *ExprSpec   `json:"r,omitempty"`    // cmp, arith
@@ -35,7 +35,7 @@ func EncodeExpr(e expr.Expr) (*ExprSpec, error) {
 	case *expr.Col:
 		return &ExprSpec{T: "col", P: n.Path.String()}, nil
 	case *expr.Lit:
-		return &ExprSpec{T: "lit", V: EncodeValue(n.V)}, nil
+		return &ExprSpec{T: "lit", V: n.V}, nil
 	case *expr.Cmp:
 		l, err := EncodeExpr(n.L)
 		if err != nil {
@@ -110,11 +110,7 @@ func DecodeExpr(s *ExprSpec) (expr.Expr, error) {
 		}
 		return &expr.Col{Path: p}, nil
 	case "lit":
-		v, err := DecodeValue(s.V)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Lit{V: v}, nil
+		return &expr.Lit{V: s.V}, nil
 	case "cmp":
 		op, err := parseCmpOp(s.Op)
 		if err != nil {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -37,9 +36,8 @@ func (g *gen) u64() uint64 {
 	return binary.LittleEndian.Uint64(raw[:])
 }
 
-// str yields a valid-UTF-8 string (the JSON arm replaces invalid
-// sequences, which would be a codec difference the engine never sees:
-// engine strings are decoded JSON, always valid). NUL bytes survive.
+// str yields a valid-UTF-8 string (engine strings are decoded JSON,
+// always valid). NUL bytes survive.
 func (g *gen) str() string {
 	n := int(g.next()) % 40
 	raw := make([]byte, n)
@@ -149,10 +147,9 @@ func (g *gen) expr(depth int) expr.Expr {
 	}
 }
 
-// FuzzValueRoundTrip drives one generated value through both codecs —
-// the binary block frame and the JSON tagged-array image — and
-// requires each to hand back a data.Compare-equal value with the
-// identical rendering.
+// FuzzValueRoundTrip drives generated values through the binary block
+// frame and requires the decode to hand back data.Compare-equal values
+// with the identical rendering.
 func FuzzValueRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0x00})          // large int
@@ -170,27 +167,12 @@ func FuzzValueRoundTrip(f *testing.F) {
 		for i := range vals {
 			assertSameValue(t, vals[i], got[i])
 		}
-		for _, v := range vals {
-			b, err := json.Marshal(EncodeValue(v))
-			if err != nil {
-				t.Fatalf("json marshal %s: %v", v, err)
-			}
-			var img any
-			if err := json.Unmarshal(b, &img); err != nil {
-				t.Fatal(err)
-			}
-			jv, err := DecodeValue(img)
-			if err != nil {
-				t.Fatalf("json decode %s: %v", v, err)
-			}
-			assertSameValue(t, v, jv)
-		}
 	})
 }
 
 // FuzzExprRoundTrip drives one generated expression through the
-// binary task codec (as an OpSpec residual) and the JSON ExprSpec
-// image, requiring both decodes to rebuild the identical tree.
+// binary task codec (as an OpSpec residual), requiring the decode to
+// rebuild the identical tree.
 func FuzzExprRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 0, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0x80})
@@ -204,40 +186,47 @@ func FuzzExprRoundTrip(f *testing.F) {
 			t.Fatalf("encode %s: %v", e, err)
 		}
 
-		// JSON arm.
-		b, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back ExprSpec
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		je, err := DecodeExpr(&back)
-		if err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		if je.String() != e.String() {
-			t.Fatalf("json round trip changed tree:\n  %s\n  %s", e, je)
-		}
-
-		// Binary arm, through a full task frame.
-		task := &Task{Task: "fz", Kind: "map", Op: &OpSpec{Kind: "scan", Residual: spec}}
-		frame, err := EncodeTaskBatch([]*Task{task})
-		if err != nil {
-			t.Fatalf("encode batch: %v", err)
-		}
-		defer frame.Close()
-		got, err := DecodeTaskBatch(frame.Bytes())
-		if err != nil {
-			t.Fatalf("decode batch: %v", err)
-		}
-		be, err := DecodeExpr(got[0].Op.Residual)
+		got := taskRoundTrip(t, &Task{Task: "fz", Kind: "map", Op: &OpSpec{Kind: "scan", Residual: spec}})
+		be, err := DecodeExpr(got.Op.Residual)
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
 		if be.String() != e.String() {
 			t.Fatalf("binary round trip changed tree:\n  %s\n  %s", e, be)
 		}
+	})
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to every frame decoder: binary
+// frames carry all outside input a worker accepts, so each decoder
+// must return a value or an error and never panic. Seeds are valid
+// frames of every kind plus their magic-swapped variants.
+func FuzzDecodeFrame(f *testing.F) {
+	tasks, err := EncodeTaskBatch(sampleTasks(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer tasks.Close()
+	results := EncodeResultBatch([]*TaskResult{
+		{Rows: adversarialValues(), CPUSeconds: 0.5},
+		{Pairs: [][]KV{{{Key: data.Int(1), Tag: "L", Rec: data.String("a")}}, nil}, Parts: []ShufflePart{{Count: 1, Bytes: 9}}},
+		{Err: "boom"},
+	})
+	defer results.Close()
+	block := EncodeBlock(adversarialValues())
+	defer block.Close()
+	shuffle := EncodeShuffle([]KV{{Key: data.String("k"), Rec: data.Array(data.Double(-0.0))}, {Key: data.Null(), Tag: "R", Rec: data.Null()}})
+	defer shuffle.Close()
+	for _, fr := range []*Frame{tasks, results, block, shuffle} {
+		f.Add(fr.Bytes())
+		for _, magic := range [][]byte{magicTaskBatch, magicRespBatch, magicBlock, magicShuffle} {
+			f.Add(append(append([]byte(nil), magic...), fr.Bytes()[len(magic):]...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		DecodeTaskBatch(b)
+		DecodeResultBatch(b)
+		DecodeBlock(b)
+		DecodeShuffle(b)
 	})
 }

@@ -1,64 +1,51 @@
 #!/usr/bin/env bash
-# Proc dispatch-plane regression guard: reads a BENCH_proc.json report
-# (dynobench -exp procbench) and fails if the binary batched plane has
-# lost its committed edge over the JSON per-task baseline — >=3x fewer
-# dispatch bytes and >=2x fewer RPCs on the 2-worker TPC-H workload at
-# the default scale — or if worker-to-worker shuffle has lost its edge
-# over controller-mirrored shuffle: the bin_peer arm must carry >=5x
-# fewer controller-side shuffle bytes than bin_batched and must move a
-# nonzero number of bytes worker-to-worker. Task counts must also
-# agree across arms: the wire plane must never change how much work
-# runs, only how it travels.
+# Proc data-plane regression guard: reads a BENCH_proc.json report
+# (dynobench -exp procbench, the 2-worker TPC-H workload at the default
+# scale) and fails if the data plane has lost what binary frames,
+# wave-batched dispatch and worker-to-worker shuffle bought it:
+#
+#   - dispatch bytes <= 925 B/task (a third of the 2,775 B/task JSON
+#     per-task dispatch measured before it was deleted);
+#   - >= 2 tasks per RPC (per-task dispatch sent one);
+#   - <= 2,678 B of shuffle through the controller (a fifth of the
+#     13,391 B the controller-side shuffle carried);
+#   - a nonzero number of shuffle bytes moved worker-to-worker.
+#
+# Exact RPC and byte counts are not pinned: batch conflation depends on
+# timing, so they move between runs.
 #
 # Usage: scripts/check_procbytes.sh [BENCH_proc.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 report="${1:-BENCH_proc.json}"
-min_byte_reduction=3.0
-min_rpc_reduction=2.0
-min_ctl_shuffle_reduction=5.0
+max_bytes_per_task=925
+min_tasks_per_rpc=2
+max_ctl_shuffle_bytes=2678
 
 if [[ ! -f "$report" ]]; then
     echo "check_procbytes: $report not found (run: go run ./cmd/dynobench -exp procbench -procbenchout $report)" >&2
     exit 1
 fi
 
-bytes=$(jq -r '.byteReduction' "$report")
-rpcs=$(jq -r '.rpcReduction' "$report")
-ctl_shuffle=$(jq -r '.ctlShuffleReduction' "$report")
-peer_bytes=$(jq -r '.arms[] | select(.name == "bin_peer") | .peerShuffleBytes' "$report")
-distinct_tasks=$(jq -r '[.arms[].tasks] | unique | length' "$report")
+bytes_per_task=$(jq -r '.bytesPerTask' "$report")
+tasks_per_rpc=$(jq -r '.tasksPerRpc' "$report")
+ctl_shuffle=$(jq -r '.ctlShuffleBytes' "$report")
+peer_bytes=$(jq -r '.peerShuffleBytes' "$report")
 
 fail=0
-if [[ "$distinct_tasks" != 1 ]]; then
-    echo "check_procbytes: task counts differ across arms: $(jq -c '[.arms[] | {name, tasks}]' "$report")" >&2
-    fail=1
-fi
-if ! awk -v got="$bytes" -v min="$min_byte_reduction" 'BEGIN { exit !(got >= min) }'; then
-    echo "check_procbytes: dispatch byte reduction ${bytes}x is below the ${min_byte_reduction}x floor" >&2
-    fail=1
-else
-    echo "check_procbytes: byte reduction ${bytes}x (floor ${min_byte_reduction}x) ok"
-fi
-if ! awk -v got="$rpcs" -v min="$min_rpc_reduction" 'BEGIN { exit !(got >= min) }'; then
-    echo "check_procbytes: RPC reduction ${rpcs}x is below the ${min_rpc_reduction}x floor" >&2
-    fail=1
-else
-    echo "check_procbytes: RPC reduction ${rpcs}x (floor ${min_rpc_reduction}x) ok"
-fi
-if ! awk -v got="$ctl_shuffle" -v min="$min_ctl_shuffle_reduction" 'BEGIN { exit !(got >= min) }'; then
-    echo "check_procbytes: controller shuffle-byte reduction ${ctl_shuffle}x is below the ${min_ctl_shuffle_reduction}x floor" >&2
-    fail=1
-else
-    echo "check_procbytes: controller shuffle-byte reduction ${ctl_shuffle}x (floor ${min_ctl_shuffle_reduction}x) ok"
-fi
-if [[ "$peer_bytes" == 0 || -z "$peer_bytes" ]]; then
-    echo "check_procbytes: bin_peer arm moved zero bytes worker-to-worker" >&2
-    fail=1
-else
-    echo "check_procbytes: bin_peer arm moved $peer_bytes shuffle bytes worker-to-worker ok"
-fi
+check() { # name value op bound
+    if awk -v got="$2" -v bound="$4" "BEGIN { exit !(got $3 bound) }"; then
+        echo "check_procbytes: $1 $2 ($3 $4) ok"
+    else
+        echo "check_procbytes: $1 $2 violates $3 $4" >&2
+        fail=1
+    fi
+}
+check "dispatch B/task" "$bytes_per_task" "<=" "$max_bytes_per_task"
+check "tasks/RPC" "$tasks_per_rpc" ">=" "$min_tasks_per_rpc"
+check "controller shuffle bytes" "$ctl_shuffle" "<=" "$max_ctl_shuffle_bytes"
+check "peer shuffle bytes" "$peer_bytes" ">" 0
 
-jq -r '.arms[] | "check_procbytes: arm \(.name): \(.rpcs) rpcs, \(.tasks) tasks, \(.bytesOut + .bytesIn) dispatch bytes (\(.bytesPerTask | floor) B/task), \(.ctlShuffleBytes) B ctl-shuffle, \(.peerShuffleBytes) B peer-shuffle"' "$report"
+jq -r '"check_procbytes: \(.rpcs) rpcs, \(.tasks) tasks, \(.bytesOut + .bytesIn) dispatch bytes, \(.ctlShuffleBytes) B ctl-shuffle, \(.peerShuffleBytes) B peer-shuffle, \(.jobs) jobs, \(.virtualSec)s virtual"' "$report"
 exit $fail
