@@ -10,7 +10,6 @@
 //	dynobench -exp optbench -optbenchout BENCH_optbench.json
 //	dynobench -exp load -load-clients 1,16,256 -load-shards 1,4
 //	dynobench -parbench BENCH_parallel.json
-//	dynobench -hotpath BENCH_hotpath.json -batchbench BENCH_batch.json
 //	dynobench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
@@ -51,9 +50,6 @@ func run() int {
 		optRepeats = flag.Int("optbench-repeats", 3, "runs per arm for optbench; the best wall time is kept")
 		parbench   = flag.String("parbench", "", "measure serial vs parallel wall-clock time and write a JSON report to this file (skips -exp)")
 		repeats    = flag.Int("parbench-repeats", 3, "runs per mode for -parbench; the best time is kept")
-		hotpath    = flag.String("hotpath", "", "measure batch vs compiled fast path vs legacy wall-clock time and write a JSON report to this file (skips -exp)")
-		hotRepeats = flag.Int("hotpath-repeats", 3, "runs per arm for -hotpath/-batchbench; the best time is kept")
-		batchbench = flag.String("batchbench", "", "write the three-arm hotpath report to this file as well (with -hotpath) or alone (skips -exp)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -92,29 +88,6 @@ func run() int {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
-
-	if *hotpath != "" || *batchbench != "" {
-		rep, err := experiments.HotpathBench(cfg, *hotRepeats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: hotpath: %v\n", err)
-			return 1
-		}
-		for _, out := range []string{*hotpath, *batchbench} {
-			if out == "" {
-				continue
-			}
-			if err := writeJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: hotpath: %v\n", err)
-				return 1
-			}
-			fmt.Printf("hotpath bench (GOMAXPROCS=%d) written to %s\n", rep.GOMAXPROCS, out)
-		}
-		for _, e := range rep.Entries {
-			fmt.Printf("  %-18s batch %.3fs  fast %.3fs  legacy %.3fs  fast-vs-legacy %.2fx  batch-vs-fast %.2fx\n",
-				e.Name, e.BatchSec, e.FastSec, e.LegacySec, e.Speedup, e.BatchSpeedup)
-		}
-		return 0
-	}
 
 	if *parbench != "" {
 		if runtime.GOMAXPROCS(0) == 1 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ func TestDumpBlockFile(t *testing.T) {
 	recs := []data.Value{
 		data.Object(data.Field{Name: "k", Value: data.Int(1)}, data.Field{Name: "s", Value: data.String("a\x00b")}),
 		data.Null(),
-		data.Array(data.Double(-0.0), data.Bool(true)),
+		data.Array(data.Double(math.Copysign(0, -1)), data.Bool(true)),
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "b0.blk")

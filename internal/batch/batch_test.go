@@ -15,9 +15,12 @@ import (
 
 // randValue draws from the adversarial value domain of the shuffle
 // differential suites: every kind class, 0x00-escaped strings, -0.0,
-// integers beyond ±2^53 (unencodable normalized keys), and nulls.
+// NaN and ±Inf, integers beyond ±2^53 (where float64 images collide),
+// and nulls.
 func randValue(rng *rand.Rand) data.Value {
-	switch rng.Intn(12) {
+	switch rng.Intn(13) {
+	case 12:
+		return data.Double([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)])
 	case 0:
 		return data.Null()
 	case 1:
@@ -47,8 +50,13 @@ func randValue(rng *rand.Rand) data.Value {
 
 // randRecords builds records with columns of assorted purity: a is
 // pure int, b pure double, c pure string, d mixed numeric (the
-// float-image trap domain), e fully mixed with nulls.
+// float-image trap domain), e fully mixed with nulls, f pure double
+// over NaN, ±Inf, -0.0 and the 2^53 boundary, g pure int around ±2^53
+// and the int64 extremes (f and g are the typed-vector edge cases).
 func randRecords(rng *rand.Rand, n int) []data.Value {
+	edgeFloats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		0x1p53, 0x1p53 + 2, -0x1p53, 0x1p63, -0x1p63, 1.5}
+	edgeInts := []int64{1 << 53, 1<<53 + 1, -1<<53 - 1, math.MaxInt64, math.MinInt64, 0, 2}
 	recs := make([]data.Value, n)
 	for i := range recs {
 		d := data.Int(int64(1)<<53 + int64(rng.Intn(2)))
@@ -61,6 +69,8 @@ func randRecords(rng *rand.Rand, n int) []data.Value {
 			data.Field{Name: "c", Value: data.String([]string{"x", "y", "a\x00b", ""}[rng.Intn(4)])},
 			data.Field{Name: "d", Value: d},
 			data.Field{Name: "e", Value: randValue(rng)},
+			data.Field{Name: "f", Value: data.Double(edgeFloats[rng.Intn(len(edgeFloats))])},
+			data.Field{Name: "g", Value: data.Int(edgeInts[rng.Intn(len(edgeInts))])},
 		)
 	}
 	return recs
@@ -68,7 +78,7 @@ func randRecords(rng *rand.Rand, n int) []data.Value {
 
 func col(p string) *expr.Col     { return expr.NewCol(p) }
 func lit(v data.Value) *expr.Lit { return expr.NewLit(v) }
-func cmp(op expr.CmpOp, l, r expr.Expr) *expr.Cmp {
+func cmpOp(op expr.CmpOp, l, r expr.Expr) *expr.Cmp {
 	return &expr.Cmp{Op: op, L: l, R: r}
 }
 
@@ -80,20 +90,29 @@ func testPredicates() []expr.Expr {
 	var preds []expr.Expr
 	for _, op := range ops {
 		preds = append(preds,
-			cmp(op, col("a"), lit(data.Int(0))),
-			cmp(op, col("a"), lit(data.Double(0.5))),
-			cmp(op, col("b"), lit(data.Double(-1))),
-			cmp(op, col("b"), lit(data.Int(1))),
-			cmp(op, col("c"), lit(data.String("a\x00b"))),
-			cmp(op, col("d"), lit(data.Int(int64(1)<<53+1))),
-			cmp(op, col("e"), lit(data.String("x"))),
-			cmp(op, lit(data.Int(2)), col("a")), // literal on the left
-			cmp(op, col("a"), col("b")),
-			cmp(op, col("a"), col("d")),
-			cmp(op, col("c"), col("e")),
-			cmp(op, col("a"), lit(data.String("s"))), // class mismatch
-			cmp(op, col("c"), lit(data.Int(3))),      // class mismatch
-			cmp(op, col("a"), lit(data.Null())),      // null literal
+			cmpOp(op, col("a"), lit(data.Int(0))),
+			cmpOp(op, col("a"), lit(data.Double(0.5))),
+			cmpOp(op, col("b"), lit(data.Double(-1))),
+			cmpOp(op, col("b"), lit(data.Int(1))),
+			cmpOp(op, col("c"), lit(data.String("a\x00b"))),
+			cmpOp(op, col("d"), lit(data.Int(int64(1)<<53+1))),
+			cmpOp(op, col("e"), lit(data.String("x"))),
+			cmpOp(op, lit(data.Int(2)), col("a")), // literal on the left
+			cmpOp(op, col("a"), col("b")),
+			cmpOp(op, col("a"), col("d")),
+			cmpOp(op, col("c"), col("e")),
+			cmpOp(op, col("a"), lit(data.String("s"))), // class mismatch
+			cmpOp(op, col("c"), lit(data.Int(3))),      // class mismatch
+			cmpOp(op, col("a"), lit(data.Null())),      // null literal
+			cmpOp(op, col("f"), lit(data.Int(1<<53+1))),
+			cmpOp(op, col("f"), lit(data.Double(math.NaN()))),
+			cmpOp(op, col("f"), lit(data.Double(0))),
+			cmpOp(op, col("g"), lit(data.Double(0x1p53))),
+			cmpOp(op, col("g"), lit(data.Double(math.NaN()))),
+			cmpOp(op, col("g"), lit(data.Int(math.MaxInt64))),
+			cmpOp(op, col("g"), col("f")),
+			cmpOp(op, col("f"), col("g")),
+			cmpOp(op, col("f"), col("b")),
 		)
 	}
 	preds = append(preds,
@@ -101,18 +120,18 @@ func testPredicates() []expr.Expr {
 		lit(data.Bool(false)),
 		lit(data.Int(1)), // non-bool literal: never truthy
 		&expr.And{Terms: []expr.Expr{
-			cmp(expr.GE, col("a"), lit(data.Int(-2))),
-			cmp(expr.LT, col("b"), lit(data.Double(1))),
+			cmpOp(expr.GE, col("a"), lit(data.Int(-2))),
+			cmpOp(expr.LT, col("b"), lit(data.Double(1))),
 		}},
 		&expr.Or{Terms: []expr.Expr{
-			cmp(expr.EQ, col("c"), lit(data.String("x"))),
-			cmp(expr.GT, col("a"), lit(data.Int(2))),
-			cmp(expr.EQ, col("e"), lit(data.Bool(true))),
+			cmpOp(expr.EQ, col("c"), lit(data.String("x"))),
+			cmpOp(expr.GT, col("a"), lit(data.Int(2))),
+			cmpOp(expr.EQ, col("e"), lit(data.Bool(true))),
 		}},
-		&expr.Not{E: cmp(expr.LT, col("a"), lit(data.Int(0)))},
+		&expr.Not{E: cmpOp(expr.LT, col("a"), lit(data.Int(0)))},
 		&expr.Not{E: &expr.Or{Terms: []expr.Expr{
-			cmp(expr.EQ, col("e"), lit(data.Int(1))),
-			&expr.Not{E: cmp(expr.NE, col("d"), lit(data.Double(float64(int64(1)<<53))))},
+			cmpOp(expr.EQ, col("e"), lit(data.Int(1))),
+			&expr.Not{E: cmpOp(expr.NE, col("d"), lit(data.Double(float64(int64(1)<<53))))},
 		}}},
 	)
 	return preds
@@ -153,10 +172,10 @@ func TestSupportedRefusals(t *testing.T) {
 		&expr.Call{Name: "f"},
 		&expr.Arith{Op: expr.Add, L: col("a"), R: lit(data.Int(1))},
 		col("a"), // bare column in boolean position
-		cmp(expr.EQ, col("a"), &expr.Arith{Op: expr.Add, L: col("b"), R: lit(data.Int(1))}),
+		cmpOp(expr.EQ, col("a"), &expr.Arith{Op: expr.Add, L: col("b"), R: lit(data.Int(1))}),
 		&expr.And{Terms: []expr.Expr{lit(data.Bool(true)), &expr.Call{Name: "f"}}},
 		&expr.Not{E: &expr.Call{Name: "f"}},
-		expr.Compile(cmp(expr.EQ, col("a"), lit(data.Int(1))),
+		expr.Compile(cmpOp(expr.EQ, col("a"), lit(data.Int(1))),
 			data.Object(data.Field{Name: "a", Value: data.Int(1)})), // compiled nodes
 	}
 	for _, e := range unsupported {
@@ -171,8 +190,8 @@ func TestSupportedRefusals(t *testing.T) {
 }
 
 // TestKeysMatchesCompositeKey checks the vectorized key columns against
-// the per-record reference: CompositeKey values, normalized encodings
-// (empty for unencodable keys), and Hash64.
+// the per-record reference: CompositeKey values, normalized encodings,
+// and Hash64.
 func TestKeysMatchesCompositeKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, paths := range [][]data.Path{
@@ -200,11 +219,8 @@ func TestKeysMatchesCompositeKey(t *testing.T) {
 			if !data.Equal(kc.Vals[i], want) {
 				t.Fatalf("row %d: key %v, want %v", i, kc.Vals[i], want)
 			}
-			wantNK := ""
-			if b, ok := data.AppendNormKey(nkBuf[:0], want); ok {
-				wantNK = string(b)
-			}
-			if kc.NK[i] != wantNK {
+			nkBuf = data.AppendNormKey(nkBuf[:0], want)
+			if wantNK := string(nkBuf); kc.NK[i] != wantNK {
 				t.Fatalf("row %d: nk %q, want %q", i, kc.NK[i], wantNK)
 			}
 			if hs[i] != data.Hash64(want) {
@@ -246,7 +262,7 @@ func TestMixedNumericStaysExact(t *testing.T) {
 		data.Object(data.Field{Name: "v", Value: data.Int(k)}),
 	}
 	d := For(nil, recs)
-	pred := cmp(expr.GT, col("v"), lit(data.Int(k)))
+	pred := cmpOp(expr.GT, col("v"), lit(data.Int(k)))
 	sel, ok := d.Select(pred, pred.String())
 	if !ok {
 		t.Fatal("Select declined")
@@ -324,7 +340,10 @@ func TestKindClassMatchesCompare(t *testing.T) {
 			ca, cb := kindClassOf(a.Kind()), kindClassOf(b.Kind())
 			if ca != cb {
 				want := data.Compare(a, b)
-				got := cmpInt(int64(ca), int64(cb))
+				got := 1
+				if ca < cb {
+					got = -1
+				}
 				if got != want {
 					t.Fatalf("class order (%v,%v): %d, Compare %d", a, b, got, want)
 				}

@@ -1,5 +1,5 @@
 // Package batch implements the columnar batch layer of the execution
-// fast path: per-split column vectors, cached selection vectors for
+// path: per-split column vectors, cached selection vectors for
 // compiled predicates, pre-wrapped row images, and vectorized join-key
 // columns (values, normalized keys, hashes). The layer is a pure
 // host-side accelerator — every batch operator emits exactly the

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"cmp"
 	"strings"
 
 	"dyno/internal/data"
@@ -177,26 +178,6 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 	return op // EQ, NE are symmetric
 }
 
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // evalCmp evaluates one comparison over the selection. Null operands
 // yield false (rows dropped), matching Cmp.Eval; cross-kind-class
 // comparisons order by kind class, matching data.Compare.
@@ -258,7 +239,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []i
 	}
 	litClass := kindClassOf(lit.Kind())
 	if litClass != v.class() {
-		return constVerdict(v, sel, opHolds(op, cmpInt(int64(v.class()), int64(litClass))))
+		return constVerdict(v, sel, opHolds(op, cmp.Compare(v.class(), litClass)))
 	}
 	out := make([]int32, 0, len(sel))
 	switch v.kind {
@@ -266,23 +247,32 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []i
 		if lit.Kind() == data.KindInt {
 			li := lit.Int()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, cmpInt(v.ints[i], li)) {
+				if !v.isNull(int(i)) && opHolds(op, cmp.Compare(v.ints[i], li)) {
 					out = append(out, i)
 				}
 			}
 		} else {
 			lf := lit.Float()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, cmpFloat(float64(v.ints[i]), lf)) {
+				if !v.isNull(int(i)) && opHolds(op, data.CompareIntFloat(v.ints[i], lf)) {
 					out = append(out, i)
 				}
 			}
 		}
 	case vecFloat:
-		lf := lit.Float()
-		for _, i := range sel {
-			if !v.isNull(int(i)) && opHolds(op, cmpFloat(v.floats[i], lf)) {
-				out = append(out, i)
+		if lit.Kind() == data.KindInt {
+			li := lit.Int()
+			for _, i := range sel {
+				if !v.isNull(int(i)) && opHolds(op, -data.CompareIntFloat(li, v.floats[i])) {
+					out = append(out, i)
+				}
+			}
+		} else {
+			lf := lit.Float()
+			for _, i := range sel {
+				if !v.isNull(int(i)) && opHolds(op, cmp.Compare(v.floats[i], lf)) {
+					out = append(out, i)
+				}
 			}
 		}
 	case vecStr:
@@ -312,7 +302,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 	}
 	bothNonNull := func(i int32) bool { return !a.isNull(int(i)) && !b.isNull(int(i)) }
 	if a.class() != b.class() {
-		keep := opHolds(op, cmpInt(int64(a.class()), int64(b.class())))
+		keep := opHolds(op, cmp.Compare(a.class(), b.class()))
 		if !keep {
 			return nil
 		}
@@ -326,21 +316,15 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 	}
 	out := make([]int32, 0, len(sel))
 	switch {
-	case a.kind == vecInt && b.kind == vecInt:
-		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, cmpInt(a.ints[i], b.ints[i])) {
-				out = append(out, i)
-			}
-		}
 	case a.kind == vecStr: // b is vecStr too (same class)
 		for _, i := range sel {
 			if bothNonNull(i) && opHolds(op, strings.Compare(a.strs[i], b.strs[i])) {
 				out = append(out, i)
 			}
 		}
-	default: // numeric with at least one float side: Compare uses float images
+	default: // numeric on both sides
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, cmpFloat(a.floatAt(int(i)), b.floatAt(int(i)))) {
+			if bothNonNull(i) && opHolds(op, a.compareNumAt(b, int(i))) {
 				out = append(out, i)
 			}
 		}
@@ -348,13 +332,18 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 	return out
 }
 
-// floatAt returns the float64 image of a numeric typed vector's row,
-// exactly as Value.Float would.
-func (v *Vec) floatAt(i int) float64 {
-	if v.kind == vecInt {
-		return float64(v.ints[i])
+// compareNumAt compares row i of two numeric typed vectors by exact
+// value, exactly as data.Compare would.
+func (v *Vec) compareNumAt(w *Vec, i int) int {
+	switch {
+	case v.kind == vecInt && w.kind == vecInt:
+		return cmp.Compare(v.ints[i], w.ints[i])
+	case v.kind == vecInt:
+		return data.CompareIntFloat(v.ints[i], w.floats[i])
+	case w.kind == vecInt:
+		return -data.CompareIntFloat(w.ints[i], v.floats[i])
 	}
-	return v.floats[i]
+	return cmp.Compare(v.floats[i], w.floats[i])
 }
 
 // kindClassOf mirrors data's kind-class ordering (null < bool <

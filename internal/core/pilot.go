@@ -202,7 +202,7 @@ func (e *Engine) submitPilot(rel *plan.Rel, queryName string, block *plan.JoinBl
 		Output: fmt.Sprintf("pilot/%s/%s", queryName, leaf.Alias),
 		Inputs: []mapreduce.Input{{
 			File:     rel.File,
-			Map:      pilotMap(leaf, rel.File, !e.Env.DisableFastPath),
+			Map:      pilotMap(leaf, rel.File),
 			BatchMap: pilotBatchMap(leaf),
 		}},
 		CollectStats:         statsPaths,
@@ -231,15 +231,15 @@ func (e *Engine) submitPilot(rel *plan.Rel, queryName string, block *plan.JoinBl
 }
 
 // pilotMap wraps and filters base records: the leaf expression lexp_R.
-// With the fast path on, the predicate is compiled once per job; when
-// all its columns are rooted at the leaf alias it is additionally
-// alias-stripped and evaluated on the raw record first, so filtered-out
-// records never allocate the alias-wrap object (emitted rows are
-// identical either way — see expr.StripAlias).
-func pilotMap(leaf *plan.Leaf, f *dfs.File, fast bool) mapreduce.MapFunc {
+// The predicate is compiled once per job; when all its columns are
+// rooted at the leaf alias it is additionally alias-stripped and
+// evaluated on the raw record first, so filtered-out records never
+// allocate the alias-wrap object (emitted rows are identical either
+// way — see expr.StripAlias).
+func pilotMap(leaf *plan.Leaf, f *dfs.File) mapreduce.MapFunc {
 	alias := leaf.Alias
 	pred := leaf.Pred
-	if fast && pred != nil {
+	if pred != nil {
 		if stripped, ok := expr.StripAlias(pred, alias); ok {
 			if rec, okr := f.FirstRecord(); okr {
 				stripped = expr.Compile(stripped, rec)

@@ -10,6 +10,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -373,6 +374,10 @@ func MergeObjects(a, b Value) Value {
 
 // Compare totally orders two values: first by kind class (numbers compare
 // across int/double), then by payload. It returns -1, 0, or +1.
+//
+// Numbers compare by exact value, ints against doubles included, so
+// Int(2^53+1) sorts above Double(2^53). NaN sorts below every other
+// number and equals itself, and -0.0 equals +0.0, as in cmp.Compare.
 func Compare(a, b Value) int {
 	ca, cb := kindClass(a.kind), kindClass(b.kind)
 	if ca != cb {
@@ -393,25 +398,15 @@ func Compare(a, b Value) int {
 		}
 		return 1
 	case KindInt, KindDouble:
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.Float(), b.Float()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+		case a.kind == KindInt && b.kind == KindInt:
+			return cmp.Compare(a.i, b.i)
+		case a.kind == KindInt:
+			return CompareIntFloat(a.i, b.f)
+		case b.kind == KindInt:
+			return -CompareIntFloat(b.i, a.f)
 		}
+		return cmp.Compare(a.f, b.f)
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	case KindArray:
@@ -435,6 +430,24 @@ func Compare(a, b Value) int {
 		return len(a.fields) - len(b.fields)
 	}
 	return 0
+}
+
+// CompareIntFloat compares an integer with a double by exact value,
+// with NaN below every number. It returns -1, 0, or +1.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f: // NaN
+		return 1
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f) // in [-2^63, 2^63), so the conversion is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(0, f-t) // i == trunc(f): the fraction decides
 }
 
 // kindClass groups int and double so they compare as numbers.
@@ -497,9 +510,17 @@ func hashValue(h uint64, v Value) uint64 {
 		return hashByte(h, 0)
 	case KindInt, KindDouble:
 		// Hash numbers by their float64 image so 2 and 2.0 collide,
-		// matching Compare's cross-kind equality.
+		// matching Compare's cross-kind equality. -0.0 hashes as +0.0
+		// and every NaN as one canonical NaN, since Compare equates them.
 		h = hashByte(h, 2)
-		bits := math.Float64bits(v.Float())
+		f := v.Float()
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
+		}
+		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {
 			h = hashByte(h, byte(bits>>(8*i)))
 		}

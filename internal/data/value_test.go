@@ -172,6 +172,36 @@ func TestCompareCrossNumeric(t *testing.T) {
 	if Compare(Double(3.5), Int(3)) != 1 {
 		t.Error("3.5 > 3")
 	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Double(nan), Double(nan), 0},
+		{Double(nan), Double(-nan), 0},
+		{Double(nan), Double(math.Inf(-1)), -1},
+		{Double(nan), Int(math.MinInt64), -1},
+		{Int(0), Double(nan), 1},
+		{Double(negZero), Double(0), 0},
+		{Double(negZero), Int(0), 0},
+		{Int(1 << 53), Double(1 << 53), 0},
+		{Int(1<<53 + 1), Double(1 << 53), 1},
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(-1<<53 - 1), Double(-1 << 53), -1},
+		{Int(math.MaxInt64), Double(0x1p63), -1},
+		{Int(math.MinInt64), Double(-0x1p63), 0},
+		{Int(math.MinInt64), Double(math.Inf(-1)), 1},
+		{Int(3), Double(3.0000000000000004), -1},
+		{Int(-3), Double(-3.0000000000000004), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
 }
 
 func TestHashEqualValuesCollide(t *testing.T) {
@@ -179,6 +209,10 @@ func TestHashEqualValuesCollide(t *testing.T) {
 		{Int(2), Double(2.0)},
 		{Object(Field{"a", Int(1)}, Field{"b", Int(2)}), Object(Field{"b", Int(2)}, Field{"a", Int(1)})},
 		{Array(String("x")), Array(String("x"))},
+		{Double(math.Copysign(0, -1)), Int(0)},
+		{Double(math.Copysign(0, -1)), Double(0)},
+		{Double(math.NaN()), Double(-math.NaN())},
+		{Int(1 << 60), Double(1 << 60)},
 	}
 	for _, p := range pairs {
 		if Hash64(p[0]) != Hash64(p[1]) {
@@ -247,11 +281,18 @@ func TestEncodedSizeTracksString(t *testing.T) {
 	}
 }
 
-// randomValue builds an arbitrary value for property tests.
-func randomValue(r *rand.Rand, depth int) Value {
-	k := r.Intn(7)
-	if depth <= 0 && k >= 5 {
-		k = r.Intn(5)
+// randomValue builds an arbitrary value for property tests, numeric
+// edge cases included (see randomEdgeNumber).
+func randomValue(r *rand.Rand, depth int) Value { return genValue(r, depth, false) }
+
+// randomJSONValue is randomValue without NaN and ±Inf, which JSON
+// cannot represent.
+func randomJSONValue(r *rand.Rand, depth int) Value { return genValue(r, depth, true) }
+
+func genValue(r *rand.Rand, depth int, finite bool) Value {
+	k := r.Intn(8)
+	if depth <= 0 && k >= 6 {
+		k = r.Intn(6)
 	}
 	switch k {
 	case 0:
@@ -271,19 +312,50 @@ func randomValue(r *rand.Rand, depth int) Value {
 		}
 		return String(string(b))
 	case 5:
+		v := randomEdgeNumber(r)
+		for finite && (math.IsNaN(v.Float()) || math.IsInf(v.Float(), 0)) {
+			v = randomEdgeNumber(r)
+		}
+		return v
+	case 6:
 		n := r.Intn(4)
 		elems := make([]Value, n)
 		for i := range elems {
-			elems[i] = randomValue(r, depth-1)
+			elems[i] = genValue(r, depth-1, finite)
 		}
 		return Array(elems...)
 	default:
 		n := r.Intn(4)
 		fields := make([]Field, n)
 		for i := range fields {
-			fields[i] = Field{Name: string(rune('a' + r.Intn(5))), Value: randomValue(r, depth-1)}
+			fields[i] = Field{Name: string(rune('a' + r.Intn(5))), Value: genValue(r, depth-1, finite)}
 		}
 		return Object(fields...)
+	}
+}
+
+// randomEdgeNumber draws from the numbers where a float64 image alone
+// misorders or misgroups: NaN, ±0, ±Inf, ints within ±2000 of ±2^53,
+// int64 extremes, and doubles at the same magnitudes.
+func randomEdgeNumber(r *rand.Rand) Value {
+	sign := int64(1)
+	if r.Intn(2) == 0 {
+		sign = -1
+	}
+	switch r.Intn(6) {
+	case 0:
+		specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+		return Double(specials[r.Intn(len(specials))])
+	case 1:
+		return Int(sign*(1<<53) + r.Int63n(4001) - 2000)
+	case 2:
+		return Double(float64(sign*(1<<53) + r.Int63n(4001) - 2000))
+	case 3:
+		return Int(math.MaxInt64 - r.Int63n(2048))
+	case 4:
+		return Int(math.MinInt64 + r.Int63n(2048))
+	default:
+		return Double(float64(sign) * 0x1p63 * (1 - float64(r.Intn(3))*0x1p-53))
 	}
 }
 
@@ -319,7 +391,7 @@ func TestPropertyCompareTransitive(t *testing.T) {
 func TestPropertyJSONRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		v := randomValue(r, 3)
+		v := randomJSONValue(r, 3)
 		b := EncodeJSON(v)
 		got, err := DecodeJSON(b)
 		if err != nil {
@@ -336,7 +408,7 @@ func TestPropertyJSONRoundTrip(t *testing.T) {
 func TestPropertyEqualImpliesEqualHash(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		v := randomValue(r, 3)
+		v := randomJSONValue(r, 3)
 		b := EncodeJSON(v)
 		w, err := DecodeJSON(b)
 		if err != nil {
@@ -379,7 +451,14 @@ func fnvReference(v Value) uint64 {
 			}
 		case KindInt, KindDouble:
 			h.Write([]byte{2})
-			bits := math.Float64bits(v.Float())
+			f := v.Float()
+			switch { // Compare equates -0.0 with 0.0, and all NaNs
+			case f == 0:
+				f = 0
+			case math.IsNaN(f):
+				f = math.NaN()
+			}
+			bits := math.Float64bits(f)
 			var buf [8]byte
 			for i := 0; i < 8; i++ {
 				buf[i] = byte(bits >> (8 * i))

@@ -13,79 +13,39 @@ import (
 )
 
 // TestFastPathDifferentialWorkload runs the full TPC-H query set
-// through the DYNOPT engine three ways — columnar batch arm (the
-// default), compiled fast path with batching disabled, and the legacy
-// per-record path — and asserts all arms are indistinguishable: same
-// result rows bit for bit, same virtual-time trace, same job counts,
-// same plan evolution. The batch arm is additionally checked against
-// the naive relational-algebra oracle so "identical" can never mean
-// "identically wrong". CI runs this under -race, which also guards the
-// batch layer's shared per-split caches and the fast path's pooled
+// through the DYNOPT engine on the one execution path — normalized-key
+// shuffle, pooled buffers, and the columnar batch arm wherever an
+// input admits it — and checks every result row against the naive
+// relational-algebra oracle. Each query runs twice: the second run
+// reuses the shuffle pools and per-split batch caches the first one
+// warmed, and must be indistinguishable from it (rows, virtual-time
+// trace, job counts, plan evolution). CI runs this under -race, which
+// also guards the batch layer's shared per-split caches and the pooled
 // buffers against cross-task sharing bugs.
 func TestFastPathDifferentialWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential workload is slow")
 	}
-	type arm struct {
-		name  string
-		tweak func(*core.Options)
-	}
-	arms := []arm{{"default", nil}}
+	cfg := testConfig()
 	for _, query := range tpch.QueryNames {
 		query := query
 		t.Run(query, func(t *testing.T) {
-			batchCfg := testConfig()
-			fastCfg := batchCfg
-			fastCfg.DisableBatch = true
-			legacyCfg := batchCfg
-			legacyCfg.DisableFastPath = true
-
-			for _, a := range arms {
-				batchRes, err := runVariant(baselines.VariantDynOpt, 100, batchCfg, query, false, a.tweak)
-				if err != nil {
-					t.Fatalf("%s batch: %v", a.name, err)
-				}
-				fast, err := runVariant(baselines.VariantDynOpt, 100, fastCfg, query, false, a.tweak)
-				if err != nil {
-					t.Fatalf("%s fast: %v", a.name, err)
-				}
-				legacy, err := runVariant(baselines.VariantDynOpt, 100, legacyCfg, query, false, a.tweak)
-				if err != nil {
-					t.Fatalf("%s legacy: %v", a.name, err)
-				}
-				assertSameResult(t, batchRes.res, fast.res)
-				assertSameResult(t, batchRes.res, legacy.res)
-
-				// Oracle check on the batch arm (the other arms are
-				// transitively covered by the bit-identical assertions).
-				l, err := getLab(100, batchCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				env := l.newEnv(false, batchCfg)
-				q := sqlparse.MustParse(tpch.MustQuerySQL(query))
-				want, err := naive.Evaluate(q, l.cat, env.Reg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 {
-					t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
-				}
-				if len(batchRes.res.Rows) != len(want) {
-					t.Fatalf("%s: %d rows, oracle %d", a.name, len(batchRes.res.Rows), len(want))
-				}
-				for i := range want {
-					if !naive.ApproxEqual(batchRes.res.Rows[i], want[i], 1e-9) {
-						t.Fatalf("%s row %d:\n got %v\nwant %v", a.name, i, batchRes.res.Rows[i], want[i])
-					}
-				}
+			first, err := runVariant(baselines.VariantDynOpt, 100, cfg, query, false, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			second, err := runVariant(baselines.VariantDynOpt, 100, cfg, query, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, first.res, second.res)
+			assertMatchesOracle(t, cfg, query, first.res.Rows)
 		})
 	}
 }
 
-// TestFastPathDifferentialPilotMT repeats the differential check under
-// the PILR_MT pilot mode with the UNC-2 re-optimization strategy — the
+// TestFastPathDifferentialPilotMT repeats the oracle check under the
+// PILR_MT pilot mode with the UNC-2 re-optimization strategy — the
 // configuration with the most concurrent jobs in flight, and therefore
 // the most pooled-buffer traffic.
 func TestFastPathDifferentialPilotMT(t *testing.T) {
@@ -96,57 +56,71 @@ func TestFastPathDifferentialPilotMT(t *testing.T) {
 		o.PilotMode = core.PilotMT
 		o.Strategy = core.Uncertain{N: 2}
 	}
-	batchCfg := testConfig()
-	fastCfg := batchCfg
-	fastCfg.DisableBatch = true
-	legacyCfg := batchCfg
-	legacyCfg.DisableFastPath = true
+	cfg := testConfig()
 	for _, query := range []string{"Q8p", "Q10"} {
-		batchRes, err := runVariant(baselines.VariantDynOpt, 100, batchCfg, query, false, tweak)
+		m, err := runVariant(baselines.VariantDynOpt, 100, cfg, query, false, tweak)
 		if err != nil {
-			t.Fatalf("%s batch: %v", query, err)
+			t.Fatalf("%s: %v", query, err)
 		}
-		fast, err := runVariant(baselines.VariantDynOpt, 100, fastCfg, query, false, tweak)
-		if err != nil {
-			t.Fatalf("%s fast: %v", query, err)
+		assertMatchesOracle(t, cfg, query, m.res.Rows)
+	}
+}
+
+// assertMatchesOracle checks a query's result rows against the naive
+// relational-algebra evaluator over the same lab data.
+func assertMatchesOracle(t *testing.T, cfg Config, query string, rows []data.Value) {
+	t.Helper()
+	l, err := getLab(100, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := l.newEnv(false, cfg)
+	q := sqlparse.MustParse(tpch.MustQuerySQL(query))
+	want, err := naive.Evaluate(q, l.cat, env.Reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d rows, oracle %d", query, len(rows), len(want))
+	}
+	for i := range want {
+		if !naive.ApproxEqual(rows[i], want[i], 1e-9) {
+			t.Fatalf("%s row %d:\n got %v\nwant %v", query, i, rows[i], want[i])
 		}
-		legacy, err := runVariant(baselines.VariantDynOpt, 100, legacyCfg, query, false, tweak)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", query, err)
-		}
-		assertSameResult(t, batchRes.res, fast.res)
-		assertSameResult(t, batchRes.res, legacy.res)
 	}
 }
 
 // assertSameResult asserts two engine results are indistinguishable:
 // rows, virtual-time trace, job counters, and plan evolution.
-func assertSameResult(t *testing.T, fast, legacy *core.Result) {
+func assertSameResult(t *testing.T, a, b *core.Result) {
 	t.Helper()
-	if len(fast.Rows) != len(legacy.Rows) {
-		t.Fatalf("row count diverged: fast %d, legacy %d", len(fast.Rows), len(legacy.Rows))
+	if len(a.Rows) != len(b.Rows) {
+		t.Fatalf("row count diverged: first %d, second %d", len(a.Rows), len(b.Rows))
 	}
-	for i := range fast.Rows {
-		if !data.Equal(fast.Rows[i], legacy.Rows[i]) {
-			t.Fatalf("row %d diverged:\n  fast:   %v\n  legacy: %v", i, fast.Rows[i], legacy.Rows[i])
+	for i := range a.Rows {
+		if !data.Equal(a.Rows[i], b.Rows[i]) {
+			t.Fatalf("row %d diverged:\n  first:  %v\n  second: %v", i, a.Rows[i], b.Rows[i])
 		}
 	}
-	if fast.TotalSec != legacy.TotalSec || fast.PilotSec != legacy.PilotSec || fast.OptimizeSec != legacy.OptimizeSec {
-		t.Fatalf("virtual times diverged: fast{total=%v pilot=%v opt=%v} legacy{total=%v pilot=%v opt=%v}",
-			fast.TotalSec, fast.PilotSec, fast.OptimizeSec,
-			legacy.TotalSec, legacy.PilotSec, legacy.OptimizeSec)
+	if a.TotalSec != b.TotalSec || a.PilotSec != b.PilotSec || a.OptimizeSec != b.OptimizeSec {
+		t.Fatalf("virtual times diverged: first{total=%v pilot=%v opt=%v} second{total=%v pilot=%v opt=%v}",
+			a.TotalSec, a.PilotSec, a.OptimizeSec,
+			b.TotalSec, b.PilotSec, b.OptimizeSec)
 	}
-	if fast.Iterations != legacy.Iterations || fast.Jobs != legacy.Jobs ||
-		fast.MapOnlyJobs != legacy.MapOnlyJobs || fast.MapReduceJobs != legacy.MapReduceJobs ||
-		fast.SwitchedJobs != legacy.SwitchedJobs || fast.PlanChanges != legacy.PlanChanges {
-		t.Fatalf("job counters diverged: fast{it=%d jobs=%d mo=%d mr=%d sw=%d pc=%d} legacy{it=%d jobs=%d mo=%d mr=%d sw=%d pc=%d}",
-			fast.Iterations, fast.Jobs, fast.MapOnlyJobs, fast.MapReduceJobs, fast.SwitchedJobs, fast.PlanChanges,
-			legacy.Iterations, legacy.Jobs, legacy.MapOnlyJobs, legacy.MapReduceJobs, legacy.SwitchedJobs, legacy.PlanChanges)
+	if a.Iterations != b.Iterations || a.Jobs != b.Jobs ||
+		a.MapOnlyJobs != b.MapOnlyJobs || a.MapReduceJobs != b.MapReduceJobs ||
+		a.SwitchedJobs != b.SwitchedJobs || a.PlanChanges != b.PlanChanges {
+		t.Fatalf("job counters diverged: first{it=%d jobs=%d mo=%d mr=%d sw=%d pc=%d} second{it=%d jobs=%d mo=%d mr=%d sw=%d pc=%d}",
+			a.Iterations, a.Jobs, a.MapOnlyJobs, a.MapReduceJobs, a.SwitchedJobs, a.PlanChanges,
+			b.Iterations, b.Jobs, b.MapOnlyJobs, b.MapReduceJobs, b.SwitchedJobs, b.PlanChanges)
 	}
-	if fast.FinalPlan != legacy.FinalPlan {
-		t.Fatalf("final plan diverged:\n  fast:\n%s\n  legacy:\n%s", fast.FinalPlan, legacy.FinalPlan)
+	if a.FinalPlan != b.FinalPlan {
+		t.Fatalf("final plan diverged:\n  first:\n%s\n  second:\n%s", a.FinalPlan, b.FinalPlan)
 	}
-	if !reflect.DeepEqual(fast.Evolution, legacy.Evolution) {
-		t.Fatalf("plan evolution diverged:\n  fast:   %+v\n  legacy: %+v", fast.Evolution, legacy.Evolution)
+	if !reflect.DeepEqual(a.Evolution, b.Evolution) {
+		t.Fatalf("plan evolution diverged:\n  first:  %+v\n  second: %+v", a.Evolution, b.Evolution)
 	}
 }

@@ -117,14 +117,13 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		KMVSize:      opts.KMVSize,
 	}
 	prune := opts.Prune
-	fast := !env.DisableFastPath
 	switch u.Kind {
 	case UnitScan:
 		file, err := u.Probe.file()
 		if err != nil {
 			return spec, err
 		}
-		in := mapreduce.Input{File: file, Map: scanMap(sourceRowFn(u.Probe, file, fast), prune)}
+		in := mapreduce.Input{File: file, Map: scanMap(sourceRowFn(u.Probe, file), prune)}
 		if prune == nil {
 			if alias, pred, ok := batchSource(u.Probe); ok {
 				in.BatchMap = mapreduce.ScanBatch(alias, pred)
@@ -163,7 +162,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 				}); err != nil {
 					return spec, err
 				}
-				return broadcastSpec(spec, probe, pf, steps, prune, fast)
+				return broadcastSpec(spec, probe, pf, steps, prune)
 			}
 		}
 		// Size the reduce phase from the estimated shuffle volume (both
@@ -173,8 +172,8 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		lKeys := probeKeyPaths(j, u.Probe.aliases())
 		rKeys := probeKeyPaths(j, u.Right.aliases())
 		spec.Inputs = []mapreduce.Input{
-			{File: lf, Map: shuffleMap(sourceRowFn(u.Probe, lf, fast), u.Probe, lf, lKeys, "L", prune, fast)},
-			{File: rf, Map: shuffleMap(sourceRowFn(u.Right, rf, fast), u.Right, rf, rKeys, "R", prune, fast)},
+			{File: lf, Map: shuffleMap(sourceRowFn(u.Probe, lf), u.Probe, lf, lKeys, "L", prune)},
+			{File: rf, Map: shuffleMap(sourceRowFn(u.Right, rf), u.Right, rf, rKeys, "R", prune)},
 		}
 		if prune == nil {
 			if alias, pred, ok := batchSource(u.Probe); ok {
@@ -190,7 +189,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		}); err != nil {
 			return spec, err
 		}
-		if fast && residual != nil {
+		if residual != nil {
 			// The residual sees merged L+R rows; a merge of the two
 			// mapped samples has the layout reduce-side rows will have.
 			ls, lok := mapSample(u.Probe, lf, prune)
@@ -235,7 +234,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		}); err != nil {
 			return spec, err
 		}
-		return broadcastSpec(spec, u.Probe, pf, steps, prune, fast)
+		return broadcastSpec(spec, u.Probe, pf, steps, prune)
 	}
 	return spec, nil
 }
@@ -274,8 +273,8 @@ func mapSample(s Source, f *dfs.File, prune func(data.Value) data.Value) (data.V
 // access). Compilation never changes results — accessors verify field
 // positions per record and fall back to name lookup — so heterogeneous
 // inputs and empty files are handled transparently.
-func compileSource(s Source, f *dfs.File, fast bool) Source {
-	if !fast || s.Filter == nil {
+func compileSource(s Source, f *dfs.File) Source {
+	if s.Filter == nil {
 		return s
 	}
 	rec, ok := firstRecord(f)
@@ -298,19 +297,19 @@ type buildStep struct {
 type probeStep struct {
 	name     string
 	keys     []data.Path
-	keyAccs  []*data.Accessor // fast path; nil = interpret keys
+	keyAccs  []*data.Accessor // nil = interpret keys (empty probe input)
 	residual expr.Expr
 }
 
 // broadcastSpec assembles a map-only hash-join job: the probe input
 // streams through the chain of builds, merging and applying each
-// join's residual filters inline. With the fast path on, the probe
-// filter, per-step key paths, and residuals are compiled once per job
-// against the probe input's first (wrapped, pruned) record; key paths
-// and residual columns referencing build-side aliases simply compile
-// without positional hints and resolve through the accessor's name
-// fallback, no slower than the interpreted path.
-func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []buildStep, prune func(data.Value) data.Value, fast bool) (mapreduce.Spec, error) {
+// join's residual filters inline. The probe filter, per-step key
+// paths, and residuals are compiled once per job against the probe
+// input's first (wrapped, pruned) record; key paths and residual
+// columns referencing build-side aliases simply compile without
+// positional hints and resolve through the accessor's name fallback,
+// no slower than the interpreted path.
+func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []buildStep, prune func(data.Value) data.Value) (mapreduce.Spec, error) {
 	plans := make([]probeStep, len(steps))
 	probeAliases := append([]string(nil), probe.aliases()...)
 	for i, st := range steps {
@@ -333,17 +332,15 @@ func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps
 		}
 		probeAliases = append(probeAliases, st.src.aliases()...)
 	}
-	if fast {
-		if sample, ok := mapSample(probe, probeFile, prune); ok {
-			for i := range plans {
-				plans[i].keyAccs = data.CompileAccessors(plans[i].keys, sample)
-				if plans[i].residual != nil {
-					plans[i].residual = expr.Compile(plans[i].residual, sample)
-				}
+	if sample, ok := mapSample(probe, probeFile, prune); ok {
+		for i := range plans {
+			plans[i].keyAccs = data.CompileAccessors(plans[i].keys, sample)
+			if plans[i].residual != nil {
+				plans[i].residual = expr.Compile(plans[i].residual, sample)
 			}
 		}
 	}
-	probeRow := sourceRowFn(probe, probeFile, fast)
+	probeRow := sourceRowFn(probe, probeFile)
 	spec.Inputs = []mapreduce.Input{{File: probeFile, Map: func(mc *mapreduce.MapCtx, rec data.Value) {
 		row := probeRow(mc.ExprCtx(), rec)
 		if row.IsNull() {
@@ -384,7 +381,7 @@ func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps
 			mc.Emit(r)
 		}
 	}}}
-	if fast && prune == nil {
+	if prune == nil {
 		if alias, pred, ok := batchSource(probe); ok {
 			spec.Inputs[0].BatchMap = batchProbeChain(alias, pred, plans)
 		}
@@ -427,14 +424,7 @@ func batchProbeChain(alias string, pred expr.Expr, plans []probeStep) mapreduce.
 		kc := d.Keys(keySig, alias, st0.keys)
 		var cur, next []data.Value
 		for _, i := range sel {
-			var matches []data.Value
-			if ht0.FastIndexed() && kc.NK[i] != "" {
-				matches = ht0.ProbeNK(kc.NK[i])
-			} else {
-				// Demoted table or unencodable probe key: the generic
-				// probe reproduces the legacy lookup exactly.
-				matches = ht0.Probe(kc.Vals[i])
-			}
+			matches := ht0.ProbeNK(kc.NK[i])
 			if len(matches) == 0 {
 				continue
 			}
@@ -509,17 +499,17 @@ func wrapFilter(ectx *expr.Ctx, s Source, rec data.Value) data.Value {
 // null means the record was filtered out.
 type rowFn func(*expr.Ctx, data.Value) data.Value
 
-// sourceRowFn builds a source's per-record row function. With the fast
-// path on and a filter whose columns are all rooted at the wrap alias,
-// the filter is alias-stripped and evaluated on the raw record before
-// wrapping, so records the predicate drops never allocate the wrap
-// object; the predicate sees exactly the values it would see through
-// the wrapped row (see expr.StripAlias), and surviving rows are wrapped
+// sourceRowFn builds a source's per-record row function. With a filter
+// whose columns are all rooted at the wrap alias, the filter is
+// alias-stripped and evaluated on the raw record before wrapping, so
+// records the predicate drops never allocate the wrap object; the
+// predicate sees exactly the values it would see through the wrapped
+// row (see expr.StripAlias), and surviving rows are wrapped
 // identically, so emitted rows are bit-identical either way. Other
 // shapes keep the wrap-then-filter order, with the filter compiled
 // against the file's first wrapped record.
-func sourceRowFn(s Source, f *dfs.File, fast bool) rowFn {
-	if fast && s.Filter != nil && s.Wrap != "" {
+func sourceRowFn(s Source, f *dfs.File) rowFn {
+	if s.Filter != nil && s.Wrap != "" {
 		if stripped, ok := expr.StripAlias(s.Filter, s.Wrap); ok {
 			if rec, okr := firstRecord(f); okr {
 				stripped = expr.Compile(stripped, rec)
@@ -533,7 +523,7 @@ func sourceRowFn(s Source, f *dfs.File, fast bool) rowFn {
 			}
 		}
 	}
-	s = compileSource(s, f, fast)
+	s = compileSource(s, f)
 	return func(ectx *expr.Ctx, rec data.Value) data.Value {
 		return wrapFilter(ectx, s, rec)
 	}
@@ -575,14 +565,12 @@ func scanMap(row rowFn, prune func(data.Value) data.Value) mapreduce.MapFunc {
 }
 
 // shuffleMap emits wrapped, filtered rows keyed for a repartition join.
-// With the fast path on, the key paths are compiled once against the
-// input's first (wrapped, pruned) record.
-func shuffleMap(row rowFn, s Source, f *dfs.File, keys []data.Path, tag string, prune func(data.Value) data.Value, fast bool) mapreduce.MapFunc {
+// The key paths are compiled once against the input's first (wrapped,
+// pruned) record.
+func shuffleMap(row rowFn, s Source, f *dfs.File, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
 	var keyAccs []*data.Accessor
-	if fast {
-		if sample, ok := mapSample(s, f, prune); ok {
-			keyAccs = data.CompileAccessors(keys, sample)
-		}
+	if sample, ok := mapSample(s, f, prune); ok {
+		keyAccs = data.CompileAccessors(keys, sample)
 	}
 	return func(mc *mapreduce.MapCtx, rec data.Value) {
 		row := row(mc.ExprCtx(), rec)

@@ -36,7 +36,7 @@ func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath
 		res.AggregateJob = true
 	} else {
 		sel := q.Select
-		if !env.DisableFastPath && len(rows) > 0 {
+		if len(rows) > 0 {
 			sel = compileSelect(q.Select, rows[0])
 		}
 		projected := make([]data.Value, 0, len(rows))
@@ -70,11 +70,9 @@ func runAggregateJob(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, out
 	// map phase reads.
 	groupBy := q.GroupBy
 	sel := q.Select
-	if !env.DisableFastPath {
-		if sample, ok := firstRecord(final.File); ok {
-			groupBy = compileExprs(q.GroupBy, sample)
-			sel = compileSelect(q.Select, sample)
-		}
+	if sample, ok := firstRecord(final.File); ok {
+		groupBy = compileExprs(q.GroupBy, sample)
+		sel = compileSelect(q.Select, sample)
 	}
 	spec := mapreduce.Spec{
 		Name:   outPath,

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,32 +11,22 @@ import (
 	"dyno/internal/expr"
 )
 
-// The differential tests in this file run the same job three ways —
-// columnar batch arm (the default), shuffle fast path with batching
-// disabled, and the legacy per-record path — and assert the outputs
-// are bit-identical: same records, same order, same statistics. The
-// batch arm is a pure host-side accelerator layered on the fast path;
-// any observable divergence is a bug. The input tables reuse the
-// adversarial key mixes from the fast-path suite: every scalar kind,
-// strings with embedded 0x00 terminator bytes, nulls, -0.0, and
-// integers beyond ±2^53 that the normalized encoding refuses.
-
-// batchDiffEnvs returns the three arms' environments: batch (both
-// switches off — the default), fast (batching disabled), and legacy
-// (fast path disabled, which alone must also disable batching).
-func batchDiffEnvs() (batchEnv, fastEnv, legacyEnv *Env) {
-	batchEnv = benchEnv()
-	fastEnv = benchEnv()
-	fastEnv.DisableBatch = true
-	legacyEnv = benchEnv()
-	legacyEnv.DisableFastPath = true
-	return
-}
+// The differential tests in this file run each job twice over the same
+// file — once with the input's columnar BatchMap installed, once with
+// the per-record Map alone — and check both against the in-test
+// references of shuffle_fastpath_test.go: same records, same order,
+// same statistics. Which arm runs is decided by the input, never by an
+// environment switch. The test names keep the arms they once compared:
+// "Batch" is the BatchMap run, "Fast" the per-record Map run, and
+// "Legacy" the Compare/Equal reference. The input tables are the
+// adversarial key mixes:
+// every scalar kind, strings with embedded 0x00 terminator bytes,
+// nulls, -0.0, NaN, ±Inf, and integers beyond ±2^53.
 
 // batchDiffPred is a filter over the mixed-kind key column and the
 // integer sequence column that exercises every supported predicate
 // shape: comparisons against a vecMixed column (nulls, booleans, 0x00
-// strings, -0.0), an int column, and And/Or/Not combinators.
+// strings, -0.0, NaN), an int column, and And/Or/Not combinators.
 func batchDiffPred() expr.Expr {
 	return &expr.Or{Terms: []expr.Expr{
 		&expr.And{Terms: []expr.Expr{
@@ -52,201 +43,269 @@ func wrapRec(alias string, rec data.Value) data.Value {
 	return data.Object(data.Field{Name: alias, Value: rec})
 }
 
-// runScanBatch executes a scan→filter→project job (filter raw records
-// with pred, wrap survivors as {t: rec}) with the batch arm wired; the
-// environment's switches decide which arm actually runs.
-func runScanBatch(t *testing.T, env *Env, f *dfs.File, pred expr.Expr) *Result {
-	t.Helper()
-	res, err := Run(env, Spec{
-		Name: "diff-batch-scan",
-		Inputs: []Input{{
-			File: f,
-			Map: func(mc *MapCtx, rec data.Value) {
-				if pred == nil || pred.Eval(mc.ExprCtx(), rec).Truthy() {
-					mc.Emit(wrapRec("t", rec))
-				}
-			},
-			BatchMap: ScanBatch("t", pred),
-		}},
-		Output:       "diff-batch-scanned",
-		CollectStats: []data.Path{data.MustParsePath("t.k")},
-	})
-	if err != nil {
-		t.Fatal(err)
+// filterWrap is the reference scan: the records pred keeps, wrapped as
+// {t: rec}, in file order.
+func filterWrap(recs []data.Value, pred expr.Expr) []data.Value {
+	var out []data.Value
+	ectx := &expr.Ctx{}
+	for _, rec := range recs {
+		if pred == nil || pred.Eval(ectx, rec).Truthy() {
+			out = append(out, wrapRec("t", rec))
+		}
 	}
-	return res
+	return out
 }
 
-// runShuffleBatch executes the identity shuffle keyed by t.k over
-// wrapped rows with the batch arm wired.
-func runShuffleBatch(t *testing.T, env *Env, f *dfs.File, pred expr.Expr) *Result {
+// scanInput is a scan→filter→project input (filter raw records with
+// pred, wrap survivors as {t: rec}), with the batch arm installed when
+// withBatch is set.
+func scanInput(f *dfs.File, pred expr.Expr, withBatch bool) Input {
+	in := Input{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		if pred == nil || pred.Eval(mc.ExprCtx(), rec).Truthy() {
+			mc.Emit(wrapRec("t", rec))
+		}
+	}}
+	if withBatch {
+		in.BatchMap = ScanBatch("t", pred)
+	}
+	return in
+}
+
+// shuffleInput is the identity shuffle keyed by t.k over wrapped rows,
+// with the batch arm installed when withBatch is set.
+func shuffleInput(f *dfs.File, pred expr.Expr, withBatch bool) Input {
+	key := data.MustParsePath("t.k")
+	in := Input{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		if pred == nil || pred.Eval(mc.ExprCtx(), rec).Truthy() {
+			row := wrapRec("t", rec)
+			mc.EmitKV(key.Eval(row), "L", row)
+		}
+	}}
+	if withBatch {
+		in.BatchMap = ShuffleBatch("t", pred, []data.Path{key}, "L")
+	}
+	return in
+}
+
+// probeInput probes broadcast "b" by .k. Its batch arm probes through
+// the split's cached key columns with ProbeNK, as jaql's batch probe
+// chain does.
+func probeInput(f *dfs.File, withBatch bool) Input {
+	key := data.MustParsePath("k")
+	in := Input{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		for _, m := range mc.Build("b").Probe(key.Eval(rec)) {
+			mc.Emit(data.MergeObjects(rec, m))
+		}
+	}}
+	if withBatch {
+		keySig := batch.KeySig("", []data.Path{key})
+		in.BatchMap = func(mc *MapCtx, blk *dfs.Block) bool {
+			d := batch.For(blk.Aux(), blk.Records())
+			sel, ok := d.Select(nil, "")
+			if !ok {
+				return false
+			}
+			ht := mc.Build("b")
+			rows := d.Records()
+			kc := d.Keys(keySig, "", []data.Path{key})
+			for _, i := range sel {
+				for _, m := range ht.ProbeNK(kc.NK[i]) {
+					mc.Emit(data.MergeObjects(rows[i], m))
+				}
+			}
+			return true
+		}
+	}
+	return in
+}
+
+// checkScanBatch runs the scan with and without its batch arm and
+// checks both against the reference filter.
+func checkScanBatch(t *testing.T, f *dfs.File, env *Env, pred expr.Expr) {
+	t.Helper()
+	want := filterWrap(f.AllRecords(), pred)
+	wantStats := referenceStats(env, want, int(f.NumRecords()), []data.Path{data.MustParsePath("t.k")})
+	for _, withBatch := range []bool{true, false} {
+		res, err := Run(env, Spec{
+			Name:         fmt.Sprintf("diff-batch-scan-%v", withBatch),
+			Inputs:       []Input{scanInput(f, pred, withBatch)},
+			Output:       fmt.Sprintf("diff-batch-scanned-%v", withBatch),
+			CollectStats: []data.Path{data.MustParsePath("t.k")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Output.AllRecords(), want)
+		assertSameStats(t, res.Stats, wantStats)
+	}
+}
+
+// checkShuffleBatch runs the shuffle with and without its batch arm and
+// checks both against the Compare/Equal reference shuffle.
+func checkShuffleBatch(t *testing.T, f *dfs.File, env *Env, pred expr.Expr) {
 	t.Helper()
 	key := data.MustParsePath("t.k")
-	res, err := Run(env, Spec{
-		Name: "diff-batch-shuffle",
-		Inputs: []Input{{
-			File: f,
-			Map: func(mc *MapCtx, rec data.Value) {
-				if pred == nil || pred.Eval(mc.ExprCtx(), rec).Truthy() {
-					row := wrapRec("t", rec)
-					mc.EmitKV(key.Eval(row), "L", row)
-				}
-			},
-			BatchMap: ShuffleBatch("t", pred, []data.Path{key}, "L"),
-		}},
-		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
-			for _, g := range group {
-				rc.Emit(g.Rec)
-			}
-		},
-		NumReducers:  4,
-		Output:       "diff-batch-shuffled",
-		CollectStats: []data.Path{key},
-	})
-	if err != nil {
-		t.Fatal(err)
+	want := referenceShuffle(filterWrap(f.AllRecords(), pred), key, 4)
+	wantStats := referenceStats(env, want, 0, []data.Path{key})
+	for _, withBatch := range []bool{true, false} {
+		res, err := Run(env, Spec{
+			Name:         fmt.Sprintf("diff-batch-shuffle-%v", withBatch),
+			Inputs:       []Input{shuffleInput(f, pred, withBatch)},
+			Reduce:       groupSizeReduce,
+			NumReducers:  4,
+			Output:       fmt.Sprintf("diff-batch-shuffled-%v", withBatch),
+			CollectStats: []data.Path{key},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Output.AllRecords(), want)
+		assertSameStats(t, res.Stats, wantStats)
 	}
-	return res
 }
 
-// TestScanBatchVsFastVsLegacy asserts the columnar scan→filter→project
-// arm emits exactly the per-record map's output over the adversarial
-// key table, in all three modes.
+// checkProbeBatch runs the broadcast join with and without its batch
+// arm and checks both against the nested-loop reference.
+func checkProbeBatch(t *testing.T, probe, build *dfs.File, env *Env) {
+	t.Helper()
+	want := referenceProbe(probe.AllRecords(), build.AllRecords(), data.MustParsePath("k"))
+	if len(want) == 0 {
+		t.Fatal("join produces no rows; test is vacuous")
+	}
+	for _, withBatch := range []bool{true, false} {
+		res, err := Run(env, Spec{
+			Name:       fmt.Sprintf("diff-batch-bjoin-%v", withBatch),
+			Inputs:     []Input{probeInput(probe, withBatch)},
+			Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{data.MustParsePath("k")}}},
+			Output:     fmt.Sprintf("diff-batch-bjoined-%v", withBatch),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Output.AllRecords(), want)
+	}
+}
+
+// TestScanBatchVsFastVsLegacy checks the columnar scan→filter→project
+// arm and the per-record map against the reference filter over every
+// adversarial key table.
 func TestScanBatchVsFastVsLegacy(t *testing.T) {
 	t.Parallel()
 	pred := batchDiffPred()
-	bEnv, fEnv, lEnv := batchDiffEnvs()
-	bRes := runScanBatch(t, bEnv, mixedKeyTable(bEnv, "t", 1500), pred)
-	fRes := runScanBatch(t, fEnv, mixedKeyTable(fEnv, "t", 1500), pred)
-	lRes := runScanBatch(t, lEnv, mixedKeyTable(lEnv, "t", 1500), pred)
-	assertSameRecords(t, bRes.Output.AllRecords(), fRes.Output.AllRecords())
-	assertSameRecords(t, bRes.Output.AllRecords(), lRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, fRes.Stats)
-	assertSameStats(t, bRes.Stats, lRes.Stats)
-	if bRes.OutRecords == 0 || bRes.OutRecords == 1500 {
-		t.Fatalf("filter not selective: %d of 1500 rows survived", bRes.OutRecords)
+	for _, tbl := range keyTables {
+		t.Run(tbl.name, func(t *testing.T) {
+			env := benchEnv()
+			f := tbl.build(env, "t", 1500)
+			if got := len(filterWrap(f.AllRecords(), pred)); got == 0 || got == 1500 {
+				t.Fatalf("filter not selective: %d of 1500 rows survive", got)
+			}
+			checkScanBatch(t, f, env, pred)
+		})
 	}
 }
 
-// TestShuffleBatchVsFastVsLegacy asserts the columnar shuffle arm —
+// TestShuffleBatchVsFastVsLegacy checks that the columnar shuffle arm —
 // split-wide key evaluation, normalization, and partition hashing —
-// routes every record to the same reducer position as EmitKV, over
-// keys of every encodable kind.
+// and EmitKV both route, order and group every record as the reference
+// shuffle does, over keys of every scalar kind.
 func TestShuffleBatchVsFastVsLegacy(t *testing.T) {
 	t.Parallel()
-	pred := batchDiffPred()
-	bEnv, fEnv, lEnv := batchDiffEnvs()
-	bRes := runShuffleBatch(t, bEnv, mixedKeyTable(bEnv, "t", 1500), pred)
-	fRes := runShuffleBatch(t, fEnv, mixedKeyTable(fEnv, "t", 1500), pred)
-	lRes := runShuffleBatch(t, lEnv, mixedKeyTable(lEnv, "t", 1500), pred)
-	assertSameRecords(t, bRes.Output.AllRecords(), fRes.Output.AllRecords())
-	assertSameRecords(t, bRes.Output.AllRecords(), lRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, fRes.Stats)
-	assertSameStats(t, bRes.Stats, lRes.Stats)
+	env := benchEnv()
+	checkShuffleBatch(t, mixedKeyTable(env, "t", 1500), env, batchDiffPred())
 }
 
-// TestShuffleBatchUnencodableKeys covers keys the normalized encoding
-// refuses (|int| > 2^53): the batch arm records an empty normalized
-// key for them, which must route and sort exactly like EmitKV's
-// fallback in both fast and legacy modes.
-func TestShuffleBatchUnencodableKeys(t *testing.T) {
+// TestShuffleBatchExtremeKeys covers the keys a float64 image alone
+// cannot order (|int| > 2^53, NaN, ±Inf, -0.0, int64 extremes): the
+// batch arm's cached encodings must route, sort and group them exactly
+// like the reference.
+func TestShuffleBatchExtremeKeys(t *testing.T) {
 	t.Parallel()
-	bEnv, fEnv, lEnv := batchDiffEnvs()
-	bRes := runShuffleBatch(t, bEnv, hugeKeyTable(bEnv, "t", 900), nil)
-	fRes := runShuffleBatch(t, fEnv, hugeKeyTable(fEnv, "t", 900), nil)
-	lRes := runShuffleBatch(t, lEnv, hugeKeyTable(lEnv, "t", 900), nil)
-	if bRes.OutRecords != 900 {
-		t.Fatalf("out records: %d, want 900", bRes.OutRecords)
-	}
-	assertSameRecords(t, bRes.Output.AllRecords(), fRes.Output.AllRecords())
-	assertSameRecords(t, bRes.Output.AllRecords(), lRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, fRes.Stats)
-	assertSameStats(t, bRes.Stats, lRes.Stats)
+	env := benchEnv()
+	checkShuffleBatch(t, hugeKeyTable(env, "huge", 900), env, nil)
+	checkShuffleBatch(t, extremeKeyTable(env, "extreme", 900), env, nil)
 }
 
-// runProbeBatch executes a broadcast join whose batch arm probes the
-// hash table through the split's cached key columns — ProbeNK against
-// the normalized-key index when the table has one and the key
-// normalized, Probe otherwise — mirroring the per-record arm exactly.
-func runProbeBatch(t *testing.T, env *Env, probe, build *dfs.File) *Result {
-	t.Helper()
-	key := data.MustParsePath("k")
-	keySig := batch.KeySig("", []data.Path{key})
-	res, err := Run(env, Spec{
-		Name: "diff-batch-bjoin",
-		Inputs: []Input{{
-			File: probe,
-			Map: func(mc *MapCtx, rec data.Value) {
-				for _, m := range mc.Build("b").Probe(key.Eval(rec)) {
-					mc.Emit(data.MergeObjects(rec, m))
-				}
-			},
-			BatchMap: func(mc *MapCtx, blk *dfs.Block) bool {
-				d := batch.For(blk.Aux(), blk.Records())
-				sel, ok := d.Select(nil, "")
-				if !ok {
-					return false
-				}
-				ht := mc.Build("b")
-				rows := d.Records()
-				kc := d.Keys(keySig, "", []data.Path{key})
-				for _, i := range sel {
-					var matches []data.Value
-					if ht.FastIndexed() && kc.NK[i] != "" {
-						matches = ht.ProbeNK(kc.NK[i])
-					} else {
-						matches = ht.Probe(kc.Vals[i])
-					}
-					for _, m := range matches {
-						mc.Emit(data.MergeObjects(rows[i], m))
-					}
-				}
-				return true
-			},
-		}},
-		Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{key}}},
-		Output:     "diff-batch-bjoined",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestProbeBatchVsFastVsLegacy asserts the vectorized probe produces
-// the identical join result over mixed-kind keys in all three modes
-// (legacy builds a Compare-based table, fast a normalized-key index,
-// batch probes that index with cached per-split encodings).
+// TestProbeBatchVsFastVsLegacy checks that the vectorized probe (cached
+// per-split encodings through ProbeNK) and the per-record probe both
+// produce the nested-loop join over mixed-kind keys.
 func TestProbeBatchVsFastVsLegacy(t *testing.T) {
 	t.Parallel()
-	run := func(env *Env) *Result {
-		return runProbeBatch(t, env, mixedKeyTable(env, "probe", 800), mixedKeyTable(env, "build", 120))
-	}
-	bEnv, fEnv, lEnv := batchDiffEnvs()
-	bRes, fRes, lRes := run(bEnv), run(fEnv), run(lEnv)
-	if bRes.OutRecords == 0 {
-		t.Fatal("join produced no rows; test is vacuous")
-	}
-	assertSameRecords(t, bRes.Output.AllRecords(), fRes.Output.AllRecords())
-	assertSameRecords(t, bRes.Output.AllRecords(), lRes.Output.AllRecords())
+	env := benchEnv()
+	checkProbeBatch(t, mixedKeyTable(env, "probe", 800), mixedKeyTable(env, "build", 120), env)
 }
 
-// TestProbeBatchDemotedTable covers the build side containing an
-// unencodable key, which demotes the whole table to Compare-based
-// probing (FastIndexed false): the batch arm must fall back to Probe
-// per row and still match.
-func TestProbeBatchDemotedTable(t *testing.T) {
+// TestProbeBatchExtremeKeys repeats the probe check over build and
+// probe sides keyed by integers beyond ±2^53, NaN, ±Inf, -0.0 and the
+// int64 extremes.
+func TestProbeBatchExtremeKeys(t *testing.T) {
 	t.Parallel()
-	run := func(env *Env) *Result {
-		return runProbeBatch(t, env, hugeKeyTable(env, "probe", 800), hugeKeyTable(env, "build", 120))
+	env := benchEnv()
+	checkProbeBatch(t, hugeKeyTable(env, "hprobe", 800), hugeKeyTable(env, "hbuild", 120), env)
+	checkProbeBatch(t, extremeKeyTable(env, "xprobe", 800), extremeKeyTable(env, "xbuild", 120), env)
+}
+
+// TestBatchMapMatchesMapPerBlock offers every block of each adversarial
+// table to an input's BatchMap and, separately, feeds its records to
+// the per-record Map, and requires identical task output: the same
+// rows, or the same shuffle pairs (key, normalized key, tag, record)
+// in every partition, in order.
+func TestBatchMapMatchesMapPerBlock(t *testing.T) {
+	t.Parallel()
+	pred := batchDiffPred()
+	for _, tbl := range keyTables {
+		t.Run(tbl.name, func(t *testing.T) {
+			env := benchEnv()
+			f := tbl.build(env, "t", 1500)
+			build := tbl.build(env, "b", 120)
+			cases := []struct {
+				name string
+				spec Spec
+			}{
+				{"scan", Spec{Inputs: []Input{scanInput(f, pred, true)}}},
+				{"shuffle", Spec{Inputs: []Input{shuffleInput(f, pred, true)}, Reduce: groupSizeReduce, NumReducers: 3}},
+				{"probe", Spec{Inputs: []Input{probeInput(f, true)},
+					Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{data.MustParsePath("k")}}}}},
+			}
+			for _, c := range cases {
+				c.spec.Name, c.spec.Output = "per-block-"+c.name, "per-block-"+c.name
+				j, err := NewJob(env, c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				builds := map[string]*HashTable{}
+				for _, b := range c.spec.Broadcasts {
+					if builds[b.Name], err = buildHashTable(env, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in := c.spec.Inputs[0]
+				for bi, blk := range f.Blocks() {
+					batchSt := &mapTaskState{buckets: make([][]kvPair, j.numReducers)}
+					rowSt := &mapTaskState{buckets: make([][]kvPair, j.numReducers)}
+					if !in.BatchMap(&MapCtx{job: j, task: batchSt, ectx: &expr.Ctx{}, builds: builds}, blk) {
+						t.Fatalf("%s block %d: BatchMap declined", c.name, bi)
+					}
+					mc := &MapCtx{job: j, task: rowSt, ectx: &expr.Ctx{}, builds: builds}
+					for _, rec := range blk.Records() {
+						in.Map(mc, rec)
+					}
+					assertSameRecords(t, batchSt.outRows, rowSt.outRows)
+					for p := range rowSt.buckets {
+						got, want := batchSt.buckets[p], rowSt.buckets[p]
+						if len(got) != len(want) {
+							t.Fatalf("%s block %d partition %d: %d pairs, per-record %d", c.name, bi, p, len(got), len(want))
+						}
+						for i := range want {
+							if !data.Equal(got[i].key, want[i].key) || got[i].nk != want[i].nk ||
+								got[i].tag != want[i].tag || !data.Equal(got[i].rec, want[i].rec) {
+								t.Fatalf("%s block %d partition %d pair %d: %+v, per-record %+v", c.name, bi, p, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
-	bEnv, fEnv, lEnv := batchDiffEnvs()
-	bRes, fRes, lRes := run(bEnv), run(fEnv), run(lEnv)
-	if bRes.OutRecords == 0 {
-		t.Fatal("join produced no rows; test is vacuous")
-	}
-	assertSameRecords(t, bRes.Output.AllRecords(), fRes.Output.AllRecords())
-	assertSameRecords(t, bRes.Output.AllRecords(), lRes.Output.AllRecords())
 }
 
 // TestBatchCacheConcurrentJobs runs the same scan concurrently over

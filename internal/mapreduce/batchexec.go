@@ -7,31 +7,23 @@ import (
 	"dyno/internal/expr"
 )
 
-// The columnar batch arm (Env.DisableBatch = false, the default)
-// processes whole splits at a time where the per-record map function
-// would be a scan→filter→project pipeline or a shuffle emit loop. It
-// is layered strictly on top of the shuffle fast path: per-split
-// column vectors and selection vectors replace per-record predicate
-// evaluation, pre-wrapped row slabs replace per-record wrap objects,
-// and shuffle/probe keys are normalized, interned, and hashed once per
-// split instead of once per record per job (splits are immutable, so
-// the columnar image is cached on the block and shared across pilot
-// runs, re-executions, and repeated scans — see internal/batch).
+// The columnar batch arm processes whole splits at a time where the
+// per-record map function would be a scan→filter→project pipeline or a
+// shuffle emit loop: per-split column vectors and selection vectors
+// replace per-record predicate evaluation, pre-wrapped row slabs
+// replace per-record wrap objects, and shuffle/probe keys are
+// normalized, interned, and hashed once per split instead of once per
+// record per job (splits are immutable, so the columnar image is cached
+// on the block and shared across pilot runs, re-executions, and
+// repeated scans — see internal/batch).
 //
 // The arm is a pure host-side accelerator. Every BatchFunc emits
 // exactly the records the per-record map would emit, in the same
 // order, with the same virtual sizes, so results, traces, job
-// counters, and statistics are bit-identical in all three modes
-// (batch, fast, legacy) — the differential suites assert this over the
-// full TPC-H set and the adversarial key tables.
-
-// batchOn reports whether the job may offer splits to BatchMap
-// functions. Batching requires the fast path: its emitted pairs carry
-// pre-normalized keys, and its probe arm uses the normalized-key hash
-// index.
-func (j *Job) batchOn() bool {
-	return !j.env.DisableFastPath && !j.env.DisableBatch
-}
+// counters, and statistics do not depend on which one ran. Whether it
+// runs is decided by the input alone: builders return nil for
+// predicates batch.Supported refuses, and the per-record Map stays the
+// fallback.
 
 // predSig renders a predicate's selection-cache signature once per
 // job; "" for a nil predicate.

@@ -2,75 +2,55 @@ package mapreduce
 
 import (
 	"slices"
+	"strings"
 	"sync"
 
 	"dyno/internal/data"
 )
 
-// The shuffle fast path (Env.DisableFastPath = false, the default)
-// eliminates the dominant per-record costs of the shuffle without
-// changing a single output bit:
+// The shuffle orders and groups records by normalized key:
 //
 //   - EmitKV normalizes each shuffle key once into an order-preserving
 //     byte string (data.AppendNormKey), so combine/reduce sorting and
-//     grouping become memcmp string compares instead of recursive
-//     data.Compare calls per comparison. Reduce partition assignment
-//     stays data.Hash64(key) % numReducers in both modes — partitioning
-//     decides output row placement, so it must not change.
+//     grouping are memcmp string compares instead of recursive
+//     data.Compare calls per comparison. The encoding is total and its
+//     byte order is data.Compare's order, so every key takes this path.
+//     Reduce partition assignment is data.Hash64(key) % numReducers.
 //   - Shuffle buckets, gathered reduce inputs, and per-group Tagged
 //     slabs are recycled through sync.Pools across tasks and jobs
 //     instead of being reallocated per group.
 //   - Broadcast hash tables index build rows by normalized key, turning
 //     probes into exact map lookups with no collision re-checks.
 //
-// Keys the normalized encoding cannot represent consistently with
-// data.Compare (NaN, integers beyond ±2^53 — see data.AppendNormKey)
-// carry an empty nk, and any batch containing one falls back to
-// Compare-based sorting wholesale, so ordering is correct for every
-// input, not just the common domain.
-//
-// Sorting uses slices.SortStableFunc under both comparators. A stable sort
-// is a pure function of the comparator's verdicts, and the normalized
-// ordering equals data.Compare's on every encodable key, so the fast
-// and legacy permutations are identical — the differential tests in
-// shuffle_fastpath_test.go and the engine-level suite assert this
-// bit-for-bit.
+// Sorting is stable, so records sharing a key keep their gather order
+// (map submission order, then emit order within a task).
 
-// fastPath reports whether the job runs the compiled shuffle path.
-func (j *Job) fastPath() bool { return !j.env.DisableFastPath }
-
-// sortPairsByKey stably sorts shuffle pairs into reduce key order:
-// by normalized key when every pair has one, otherwise by data.Compare.
-// Both arms use a stable sort, and a stable sort's output permutation
-// is a pure function of the comparator's verdicts, so the fast arm's
-// ordering is identical to the legacy sort.SliceStable over
-// data.Compare on every encodable batch.
+// sortPairsByKey stably sorts shuffle pairs into reduce key order.
 func sortPairsByKey(pairs []kvPair) {
-	for i := range pairs {
-		if pairs[i].nk == "" {
-			slices.SortStableFunc(pairs, func(a, b kvPair) int {
-				return data.Compare(a.key, b.key)
-			})
-			return
-		}
-	}
 	slices.SortStableFunc(pairs, func(a, b kvPair) int {
-		if a.nk < b.nk {
-			return -1
-		}
-		if a.nk > b.nk {
-			return 1
-		}
-		return 0
+		return strings.Compare(a.nk, b.nk)
 	})
 }
 
-// samePairKey reports whether two adjacent sorted pairs share a key.
-func samePairKey(a, b *kvPair) bool {
-	if a.nk != "" && b.nk != "" {
-		return a.nk == b.nk
+// groupEnd returns the end of the run of sorted pairs that share
+// pairs[lo]'s key.
+func groupEnd(pairs []kvPair, lo int) int {
+	hi := lo + 1
+	for hi < len(pairs) && pairs[hi].nk == pairs[lo].nk {
+		hi++
 	}
-	return data.Equal(a.key, b.key)
+	return hi
+}
+
+// appendGroup appends one key group's records to slab and returns the
+// grown slab and the group as a window of it whose capacity ends at its
+// length, so a reducer appending to its group cannot clobber the slab.
+func appendGroup(slab []Tagged, group []kvPair) ([]Tagged, []Tagged) {
+	start := len(slab)
+	for i := range group {
+		slab = append(slab, Tagged{Tag: group[i].tag, Rec: group[i].rec})
+	}
+	return slab, slab[start:len(slab):len(slab)]
 }
 
 // Pools recycle the shuffle's large transient buffers across tasks and

@@ -90,13 +90,6 @@ type Env struct {
 	// grouping job the compiler schedules after the join block. Off by
 	// default to keep the evaluation's published numbers stable.
 	UseCombiner bool
-	// DisableFastPath turns off the compiled shuffle fast path
-	// (normalized sort/group keys, pooled shuffle buffers, the
-	// normalized-key hash-table index — see fastpath.go), forcing the
-	// legacy Compare/Hash64-based implementations everywhere. Results,
-	// traces, and statistics are bit-identical either way; the switch
-	// exists for differential testing and as an escape hatch.
-	DisableFastPath bool
 	// OnCreateFile, when non-nil, is invoked with the name of every
 	// output file a job in this environment creates. A query service
 	// installs a per-session callback to track the session's scratch
@@ -105,15 +98,6 @@ type Env struct {
 	// a shared simulator, so the callback must be safe for concurrent
 	// use and must not block.
 	OnCreateFile func(name string)
-	// DisableBatch turns off the columnar batch arm layered on top of
-	// the fast path (per-split column vectors, cached selection vectors,
-	// vectorized shuffle/probe keys — see batchexec.go and
-	// internal/batch), forcing record-at-a-time map functions while
-	// keeping the rest of the fast path on. Mirrors DisableFastPath:
-	// results, traces, and statistics are bit-identical either way.
-	// Disabling the fast path disables the batch arm too — batching is
-	// built on the fast path's compiled substrate.
-	DisableBatch bool
 }
 
 // VirtualSize returns the virtual on-disk size of a record.
@@ -175,7 +159,6 @@ type MapCtx struct {
 	task   *mapTaskState
 	ectx   *expr.Ctx
 	builds map[string]*HashTable
-	fast   bool   // normalize shuffle keys at emit time
 	nkBuf  []byte // scratch for key normalization, reused across emits
 }
 
@@ -193,40 +176,25 @@ func (mc *MapCtx) Emit(rec data.Value) {
 }
 
 // EmitKV routes a record through the shuffle, keyed for the reduce
-// phase. Partition assignment is data.Hash64(key) % numReducers in both
-// fast and legacy modes — it decides which reduce task (and therefore
-// which output position) a record lands in, so it must never vary with
-// the fast-path switch. The fast path additionally normalizes the key
-// once here so downstream sorting and grouping compare strings instead
-// of walking the key tree per comparison.
+// phase. Partition assignment is data.Hash64(key) % numReducers — it
+// decides which reduce task (and therefore which output position) a
+// record lands in. The key is normalized once here so downstream
+// sorting and grouping compare strings instead of walking the key tree
+// per comparison.
 func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
-	p := int(data.Hash64(key) % uint64(mc.job.numReducers))
-	kv := kvPair{key: key, tag: tag, rec: rec}
-	if mc.fast {
-		if b, ok := data.AppendNormKey(mc.nkBuf[:0], key); ok {
-			kv.nk = string(b)
-			mc.nkBuf = b
-		} else {
-			mc.nkBuf = b[:0]
-		}
-	}
-	mc.task.buckets[p] = append(mc.task.buckets[p], kv)
+	mc.nkBuf = data.AppendNormKey(mc.nkBuf[:0], key)
+	mc.emitPair(key, string(mc.nkBuf), tag, rec, data.Hash64(key))
 }
 
 // emitPair is EmitKV with the key's partition hash and normalized
 // encoding already computed — the batch arm evaluates keys column-wise
 // once per split and routes rows through here, skipping the per-record
 // Hash64 and AppendNormKey work. nk must be the key's normalized
-// encoding ("" when unencodable or the fast path is off) and hash its
-// data.Hash64, so the pair is indistinguishable from one built by
-// EmitKV.
+// encoding and hash its data.Hash64, so the pair is indistinguishable
+// from one built by EmitKV.
 func (mc *MapCtx) emitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
 	p := int(hash % uint64(mc.job.numReducers))
-	kv := kvPair{key: key, tag: tag, rec: rec}
-	if mc.fast {
-		kv.nk = nk
-	}
-	mc.task.buckets[p] = append(mc.task.buckets[p], kv)
+	mc.task.buckets[p] = append(mc.task.buckets[p], kvPair{key: key, nk: nk, tag: tag, rec: rec})
 }
 
 // MapFunc processes one input record.
@@ -262,12 +230,11 @@ type Input struct {
 	// Splits selects block indexes to process; nil means all.
 	Splits []int
 	Map    MapFunc
-	// BatchMap, when set and the batch arm is on, is offered each split
-	// before the per-record loop. If it returns true it has fully
-	// processed the split (emitting exactly what Map would have emitted,
-	// in the same order); if it returns false — an unsupported predicate,
-	// a demoted hash table — the per-record Map runs instead. See
-	// BatchFunc in batchexec.go for the contract.
+	// BatchMap, when set, is offered each split before the per-record
+	// loop. If it returns true it has fully processed the split
+	// (emitting exactly what Map would have emitted, in the same order);
+	// if it returns false the per-record Map runs instead. See BatchFunc
+	// in batchexec.go for the contract.
 	BatchMap BatchFunc
 }
 
@@ -292,18 +259,12 @@ type Broadcast struct {
 	Filter   expr.Expr   // optional predicate applied during the build
 }
 
-// HashTable is an in-memory build side indexed by join key. The fast
-// path keys buckets by the normalized key encoding (exact equality, no
-// collision re-checks on probe); the legacy path, and any build side
-// containing an unencodable key, keys them by data.Hash64 with
-// per-candidate equality checks. Both return identical probe results:
-// the rows whose key equals the probe key, in build scan order.
+// HashTable is an in-memory build side indexed by the normalized
+// encoding of each row's join key, so a probe is one exact map lookup
+// with no collision re-checks. Probes return the rows whose key equals
+// the probe key, in build scan order.
 type HashTable struct {
-	nkBuckets  map[string][]data.Value // fast: normalized key -> rows (scan order)
-	scanRows   []data.Value            // fast: all rows in scan order, for unencodable probes
-	buckets    map[uint64][]data.Value // legacy: key hash -> candidate rows
-	keyPaths   []data.Path
-	keyAccs    []*data.Accessor
+	nkBuckets  map[string][]data.Value // normalized key -> rows (scan order)
 	rows       int
 	builtBytes int64   // virtual size of the retained (filtered) rows
 	prepBytes  int64   // one-time scan volume to produce the build
@@ -313,15 +274,14 @@ type HashTable struct {
 // buildHashTable indexes a broadcast side, wrapping and filtering as
 // declared.
 func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
-	ht := &HashTable{keyPaths: b.KeyPaths}
+	ht := &HashTable{nkBuckets: make(map[string][]data.Value)}
 	ectx := &expr.Ctx{Reg: env.Reg}
-	fast := !env.DisableFastPath
 	filter := b.Filter
 	// When every filter column is rooted at the wrap alias, evaluate the
 	// filter on the raw record before wrapping (identical semantics, see
 	// expr.StripAlias) so dropped records never allocate the wrap object.
 	var stripped expr.Expr
-	if fast && filter != nil && b.Wrap != "" {
+	if filter != nil && b.Wrap != "" {
 		if s, ok := expr.StripAlias(filter, b.Wrap); ok {
 			if rec, okr := b.File.FirstRecord(); okr {
 				s = expr.Compile(s, rec)
@@ -330,6 +290,7 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 			filter = nil
 		}
 	}
+	var keyAccs []*data.Accessor
 	var nkBuf []byte
 	for _, blk := range b.File.Blocks() {
 		for _, rec := range blk.Records() {
@@ -340,11 +301,11 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 			if b.Wrap != "" {
 				row = data.ObjectFromSorted([]data.Field{{Name: b.Wrap, Value: rec}})
 			}
-			if fast && ht.keyAccs == nil {
+			if keyAccs == nil {
 				// Compile key paths (and the build filter) against the
 				// first row; accessors verify positions per record, so
 				// heterogeneous rows still resolve correctly.
-				ht.keyAccs = data.CompileAccessors(b.KeyPaths, row)
+				keyAccs = data.CompileAccessors(b.KeyPaths, row)
 				if filter != nil {
 					filter = expr.Compile(filter, row)
 				}
@@ -354,28 +315,8 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 			}
 			ht.rows++
 			ht.builtBytes += env.VirtualSize(row)
-			if fast && ht.nkBuckets == nil && ht.buckets == nil {
-				ht.nkBuckets = make(map[string][]data.Value)
-			}
-			if ht.nkBuckets != nil {
-				k := ht.compositeKeyFast(row)
-				b, ok := data.AppendNormKey(nkBuf[:0], k)
-				nkBuf = b
-				if ok {
-					ht.nkBuckets[string(b)] = append(ht.nkBuckets[string(b)], row)
-					ht.scanRows = append(ht.scanRows, row)
-					continue
-				}
-				// Unencodable build key: demote the whole table to the
-				// legacy hash index so probe semantics stay uniform.
-				ht.demote()
-			}
-			if ht.buckets == nil {
-				ht.buckets = make(map[uint64][]data.Value)
-			}
-			k := CompositeKey(row, b.KeyPaths)
-			h := data.Hash64(k)
-			ht.buckets[h] = append(ht.buckets[h], row)
+			nkBuf = data.AppendNormKey(nkBuf[:0], CompositeKeyCompiled(row, keyAccs))
+			ht.nkBuckets[string(nkBuf)] = append(ht.nkBuckets[string(nkBuf)], row)
 		}
 	}
 	if ectx.Err != nil {
@@ -388,74 +329,18 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 	return ht, nil
 }
 
-// demote converts a partially built fast index into the legacy hash
-// index, preserving scan order within each hash bucket.
-func (h *HashTable) demote() {
-	h.buckets = make(map[uint64][]data.Value)
-	for _, row := range h.scanRows {
-		k := CompositeKey(row, h.keyPaths)
-		hh := data.Hash64(k)
-		h.buckets[hh] = append(h.buckets[hh], row)
-	}
-	h.nkBuckets = nil
-	h.scanRows = nil
-}
-
-// compositeKeyFast is CompositeKey through the compiled key accessors.
-func (h *HashTable) compositeKeyFast(row data.Value) data.Value {
-	return CompositeKeyCompiled(row, h.keyAccs)
-}
-
 // Probe returns the build rows whose key equals k, in build scan order.
-// The returned slice aliases the table's bucket in the common case and
-// must not be mutated; probes are safe from concurrent tasks because
-// buckets are read-only after the build.
+// The returned slice aliases the table's bucket and must not be
+// mutated; probes are safe from concurrent tasks because buckets are
+// read-only after the build.
 func (h *HashTable) Probe(k data.Value) []data.Value {
-	if h.nkBuckets != nil {
-		var arr [48]byte
-		if nk, ok := data.AppendNormKey(arr[:0], k); ok {
-			return h.nkBuckets[string(nk)]
-		}
-		// Unencodable probe key (never produced by TPC-H): exhaustive
-		// scan in build order, matching legacy probe results exactly.
-		var out []data.Value
-		for _, r := range h.scanRows {
-			if data.Equal(CompositeKey(r, h.keyPaths), k) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	cands := h.buckets[data.Hash64(k)]
-	if len(cands) == 0 {
-		return nil
-	}
-	for i, r := range cands {
-		if !data.Equal(CompositeKey(r, h.keyPaths), k) {
-			// Collision: fall back to copying the true matches.
-			out := make([]data.Value, 0, len(cands)-1)
-			out = append(out, cands[:i]...)
-			for _, r2 := range cands[i+1:] {
-				if data.Equal(CompositeKey(r2, h.keyPaths), k) {
-					out = append(out, r2)
-				}
-			}
-			return out
-		}
-	}
-	return cands
+	var arr [48]byte
+	return h.nkBuckets[string(data.AppendNormKey(arr[:0], k))]
 }
-
-// FastIndexed reports whether the table is indexed by normalized key,
-// i.e. ProbeNK answers probes for encodable keys. False for legacy
-// builds and tables demoted by an unencodable build key.
-func (h *HashTable) FastIndexed() bool { return h.nkBuckets != nil }
 
 // ProbeNK returns the build rows whose key normalizes to nk, in build
-// scan order. Valid only when FastIndexed() is true and nk is the
-// non-empty normalized encoding of the probe key; it is then exactly
-// Probe(key) without re-normalizing. The batch probe arm uses this with
-// pre-computed (interned) key encodings.
+// scan order: exactly Probe(key) without re-normalizing. The batch
+// probe arm uses this with pre-computed (interned) key encodings.
 func (h *HashTable) ProbeNK(nk string) []data.Value { return h.nkBuckets[nk] }
 
 // CompositeKey evaluates the key columns over a row. A single path
@@ -533,7 +418,7 @@ type Spec struct {
 
 type kvPair struct {
 	key data.Value
-	nk  string // normalized key (fast path); "" when disabled or unencodable
+	nk  string // normalized key (data.AppendNormKey)
 	tag string
 	rec data.Value
 }
@@ -777,33 +662,23 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	// Size output buffers from the split: most maps emit at most one
 	// row per input record, so this avoids the append growth ladder in
 	// the shuffle hot path.
-	fast := j.fastPath()
 	if n := block.NumRecords(); n > 0 {
 		if j.spec.Reduce == nil {
 			if st.outRows == nil {
-				if fast {
-					st.outRows = getRowSlice(n)
-				} else {
-					st.outRows = make([]data.Value, 0, n)
-				}
+				st.outRows = getRowSlice(n)
 			}
 		} else {
 			per := n/j.numReducers + 1
 			for p := range st.buckets {
 				if st.buckets[p] == nil {
-					if fast {
-						st.buckets[p] = getKVSlice(per)
-					} else {
-						st.buckets[p] = make([]kvPair, 0, per)
-					}
+					st.buckets[p] = getKVSlice(per)
 				}
 			}
 		}
 	}
 	ectx := &expr.Ctx{Reg: j.env.Reg}
-	mc := &MapCtx{job: j, task: st, ectx: ectx, builds: j.builds,
-		fast: fast && j.spec.Reduce != nil}
-	if j.batchOn() && input.BatchMap != nil && input.BatchMap(mc, block) {
+	mc := &MapCtx{job: j, task: st, ectx: ectx, builds: j.builds}
+	if input.BatchMap != nil && input.BatchMap(mc, block) {
 		if st.collector != nil {
 			st.collector.ObserveInputs(block.NumRecords())
 		}
@@ -854,11 +729,9 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 
 // combineBuckets folds each map bucket's rows per key through the
 // combiner. Groups handed to the combiner are valid only for the
-// duration of the call (the fast path carves them out of a pooled
-// slab); combiners must copy anything they keep, as all in-repo
-// combiners do.
+// duration of the call (they are carved out of a pooled slab);
+// combiners must copy anything they keep, as all in-repo combiners do.
 func (j *Job) combineBuckets(st *mapTaskState, ectx *expr.Ctx) error {
-	fast := j.fastPath()
 	for p, bucket := range st.buckets {
 		if len(bucket) == 0 {
 			continue
@@ -867,28 +740,11 @@ func (j *Job) combineBuckets(st *mapTaskState, ectx *expr.Ctx) error {
 		cst := &reduceTaskState{partition: p}
 		rc := &ReduceCtx{task: cst, ectx: ectx}
 		var combined []kvPair
-		var slab []Tagged
-		if fast {
-			slab = getTaggedSlab(len(bucket))
-		}
+		slab := getTaggedSlab(len(bucket))
 		for lo := 0; lo < len(bucket); {
-			hi := lo + 1
-			for hi < len(bucket) && samePairKey(&bucket[hi], &bucket[lo]) {
-				hi++
-			}
+			hi := groupEnd(bucket, lo)
 			var group []Tagged
-			if fast {
-				start := len(slab)
-				for i := lo; i < hi; i++ {
-					slab = append(slab, Tagged{Tag: bucket[i].tag, Rec: bucket[i].rec})
-				}
-				group = slab[start:len(slab):len(slab)]
-			} else {
-				group = make([]Tagged, hi-lo)
-				for i := lo; i < hi; i++ {
-					group[i-lo] = Tagged{Tag: bucket[i].tag, Rec: bucket[i].rec}
-				}
-			}
+			slab, group = appendGroup(slab, bucket[lo:hi])
 			cst.outRows = cst.outRows[:0]
 			j.spec.Combine(rc, bucket[lo].key, group)
 			for _, rec := range cst.outRows {
@@ -896,10 +752,8 @@ func (j *Job) combineBuckets(st *mapTaskState, ectx *expr.Ctx) error {
 			}
 			lo = hi
 		}
-		if fast {
-			putTaggedSlab(slab)
-			putKVSlice(bucket)
-		}
+		putTaggedSlab(slab)
+		putKVSlice(bucket)
 		st.buckets[p] = combined
 	}
 	return ectx.Err
@@ -997,7 +851,6 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		return j.runReduceRemote(st, partition)
 	}
 	var u cluster.Usage
-	fast := j.fastPath()
 	// Gather this partition's pairs from all map tasks in submission
 	// order, then sort by key for grouping.
 	total := 0
@@ -1006,12 +859,7 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 			total += len(ms.buckets[partition])
 		}
 	}
-	var pairs []kvPair
-	if fast {
-		pairs = getKVSlice(total)
-	} else {
-		pairs = make([]kvPair, 0, total)
-	}
+	pairs := getKVSlice(total)
 	for _, ms := range j.mapStates {
 		if partition < len(ms.buckets) {
 			bucket := ms.buckets[partition]
@@ -1022,45 +870,26 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		}
 	}
 	sortPairsByKey(pairs)
-	if fast && st.outRows == nil {
+	if st.outRows == nil {
 		st.outRows = getRowSlice(0)
 	}
 	ectx := &expr.Ctx{Reg: j.env.Reg}
 	rc := &ReduceCtx{task: st, ectx: ectx}
 	// Groups handed to the reducer are valid only for the duration of
-	// the call (the fast path carves them out of a pooled slab);
-	// reducers must copy anything they keep, as all in-repo reducers do.
-	var slab []Tagged
-	if fast {
-		slab = getTaggedSlab(total)
-	}
+	// the call (they are carved out of a pooled slab); reducers must
+	// copy anything they keep, as all in-repo reducers do.
+	slab := getTaggedSlab(total)
 	for lo := 0; lo < len(pairs); {
-		hi := lo + 1
-		for hi < len(pairs) && samePairKey(&pairs[hi], &pairs[lo]) {
-			hi++
-		}
+		hi := groupEnd(pairs, lo)
 		var group []Tagged
-		if fast {
-			start := len(slab)
-			for i := lo; i < hi; i++ {
-				slab = append(slab, Tagged{Tag: pairs[i].tag, Rec: pairs[i].rec})
-			}
-			group = slab[start:len(slab):len(slab)]
-		} else {
-			group = make([]Tagged, hi-lo)
-			for i := lo; i < hi; i++ {
-				group[i-lo] = Tagged{Tag: pairs[i].tag, Rec: pairs[i].rec}
-			}
-		}
+		slab, group = appendGroup(slab, pairs[lo:hi])
 		j.spec.Reduce(rc, pairs[lo].key, group)
 		lo = hi
 	}
 	u.Records += int64(len(pairs))
 	u.CPUSeconds += ectx.CPUSeconds
-	if fast {
-		putTaggedSlab(slab)
-		putKVSlice(pairs)
-	}
+	putTaggedSlab(slab)
+	putKVSlice(pairs)
 	if ectx.Err != nil {
 		return u, ectx.Err
 	}
@@ -1144,19 +973,17 @@ func (j *Job) finish(sub *cluster.Submission) {
 	// them for later tasks and jobs. Every Run closure executes at most
 	// once (injected failures skip execution, backups replay the
 	// primary's usage), so no retry can observe a recycled buffer.
-	if j.fastPath() {
-		for _, ms := range j.mapStates {
-			for p := range ms.buckets {
-				putKVSlice(ms.buckets[p])
-				ms.buckets[p] = nil
-			}
-			putRowSlice(ms.outRows)
-			ms.outRows = nil
+	for _, ms := range j.mapStates {
+		for p := range ms.buckets {
+			putKVSlice(ms.buckets[p])
+			ms.buckets[p] = nil
 		}
-		for _, st := range j.reduceStates {
-			putRowSlice(st.outRows)
-			st.outRows = nil
-		}
+		putRowSlice(ms.outRows)
+		ms.outRows = nil
+	}
+	for _, st := range j.reduceStates {
+		putRowSlice(st.outRows)
+		st.outRows = nil
 	}
 	j.result = res
 }

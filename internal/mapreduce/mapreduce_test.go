@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"dyno/internal/cluster"
@@ -267,12 +268,10 @@ func TestPilotOnDemandSplits(t *testing.T) {
 	for s := 2; s < total; s++ {
 		reserve = append(reserve, s)
 	}
-	emitted := 0
 	res, err := Run(env, Spec{
 		Name: "pilot-mt",
 		Inputs: []Input{{File: f, Splits: []int{0, 1}, Map: func(mc *MapCtx, rec data.Value) {
 			if rec.FieldOr("a").FieldOr("id").Int()%10 == 0 {
-				emitted++
 				mc.Emit(rec)
 			}
 		}}},
@@ -518,6 +517,71 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	}
 	if got := ht.Probe(data.Int(999)); len(got) != 0 {
 		t.Errorf("probe(999) = %v", got)
+	}
+
+	// Keys whose Hash64 collides (one float64 image) but which are not
+	// equal must not match each other; equal keys of either kind must.
+	w = env.FS.Create("h")
+	big := []data.Value{data.Int(1 << 53), data.Int(1<<53 + 1), data.Double(1 << 53)}
+	for _, k := range big {
+		w.Append(data.Object(data.Field{Name: "k", Value: k}))
+	}
+	ht, err = buildHashTable(env, Broadcast{Name: "h", File: w.Close(), KeyPaths: []data.Path{data.MustParsePath("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data.Hash64(big[1]) != data.Hash64(big[2]) {
+		t.Fatal("test bug: keys were meant to collide in Hash64")
+	}
+	if got := ht.Probe(data.Int(1<<53 + 1)); len(got) != 1 || !data.Equal(got[0].FieldOr("k"), big[1]) {
+		t.Errorf("probe(2^53+1) = %v, want only the 2^53+1 row", got)
+	}
+	if got := ht.Probe(data.Double(1 << 53)); len(got) != 2 {
+		t.Errorf("probe(2.0^53) = %v, want the int and double 2^53 rows", got)
+	}
+}
+
+// TestNegativeZeroJoinsZeroAcrossReducers joins a -0.0 key to an Int(0)
+// key through a repartition with three reducers. Compare says the keys
+// are equal, so they must hash to the same partition and meet there.
+func TestNegativeZeroJoinsZeroAcrossReducers(t *testing.T) {
+	env := testEnv(t)
+	write := func(name string, k data.Value) *dfs.File {
+		w := env.FS.Create(name)
+		w.Append(data.Object(data.Field{Name: name, Value: data.Object(data.Field{Name: "k", Value: k})}))
+		return w.Close()
+	}
+	l := write("l", data.Double(math.Copysign(0, -1)))
+	r := write("r", data.Int(0))
+	res, err := Run(env, Spec{
+		Name: "negzero-join",
+		Inputs: []Input{
+			{File: l, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(rec.FieldOr("l").FieldOr("k"), "L", rec) }},
+			{File: r, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(rec.FieldOr("r").FieldOr("k"), "R", rec) }},
+		},
+		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+			var ls, rs []data.Value
+			for _, g := range group {
+				if g.Tag == "L" {
+					ls = append(ls, g.Rec)
+				} else {
+					rs = append(rs, g.Rec)
+				}
+			}
+			for _, a := range ls {
+				for _, b := range rs {
+					rc.Emit(data.MergeObjects(a, b))
+				}
+			}
+		},
+		NumReducers: 3,
+		Output:      "negzero-joined",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OutRecords != 1 {
+		t.Fatalf("join emitted %d rows, want 1 (-0.0 = 0)", res.OutRecords)
 	}
 }
 

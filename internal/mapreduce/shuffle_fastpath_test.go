@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyno/internal/data"
@@ -10,73 +12,156 @@ import (
 	"dyno/internal/stats"
 )
 
-// The differential tests in this file run the same job twice — once
-// with the compiled shuffle fast path, once with the legacy per-record
-// path — and assert the outputs are bit-identical: same records, same
-// order, same statistics. The fast path is a pure host-side
-// optimization; any observable divergence is a bug.
+// The tests in this file check the shuffle and the broadcast hash table
+// against in-test references built the plain way: partition by
+// data.Hash64, stable-sort each partition with data.Compare, group
+// adjacent keys with data.Equal, and probe by a nested loop over
+// data.Equal. The engine orders, groups and probes by normalized key
+// instead, so any disagreement between the encoding's byte order and
+// data.Compare shows up here as misordered, misgrouped or missing rows.
 
-func diffEnv(disable bool) *Env {
-	env := benchEnv()
-	env.DisableFastPath = disable
-	return env
+// keyTable writes n records {k: key(i), seq: i}.
+func keyTable(env *Env, name string, n int, key func(i int) data.Value) *dfs.File {
+	w := env.FS.Create(name)
+	for i := 0; i < n; i++ {
+		w.Append(data.Object(
+			data.Field{Name: "k", Value: key(i)},
+			data.Field{Name: "seq", Value: data.Int(int64(i))},
+		))
+	}
+	return w.Close()
 }
 
 // mixedKeyTable writes records whose shuffle keys cycle through every
-// scalar kind the normalized encoding supports — including negative
-// doubles, the empty string, strings containing 0x00 (the terminator
-// byte that must be escaped), and nulls — so sorting and grouping are
-// exercised across kind boundaries.
+// scalar kind — including negative doubles, the empty string, strings
+// containing 0x00 (the terminator byte that must be escaped), -0.0 and
+// nulls — so sorting and grouping are exercised across kind boundaries.
 func mixedKeyTable(env *Env, name string, n int) *dfs.File {
-	w := env.FS.Create(name)
-	for i := 0; i < n; i++ {
-		var key data.Value
+	return keyTable(env, name, n, func(i int) data.Value {
 		switch i % 7 {
 		case 0:
-			key = data.Int(int64(i%13 - 6))
+			return data.Int(int64(i%13 - 6))
 		case 1:
-			key = data.Double(float64(i%11) - 5.5)
+			return data.Double(float64(i%11) - 5.5)
 		case 2:
-			key = data.String(fmt.Sprintf("k%02d", i%9))
+			return data.String(fmt.Sprintf("k%02d", i%9))
 		case 3:
-			key = data.Bool(i%2 == 0)
+			return data.Bool(i%2 == 0)
 		case 4:
-			key = data.Null()
+			return data.Null()
 		case 5:
-			key = data.String("a\x00" + string(rune('a'+i%3))) // embedded terminator byte
-		case 6:
-			key = data.Double(-0.0)
+			return data.String("a\x00" + string(rune('a'+i%3))) // embedded terminator byte
+		default:
+			return data.Double(math.Copysign(0, -1))
 		}
-		w.Append(data.Object(
-			data.Field{Name: "k", Value: key},
-			data.Field{Name: "seq", Value: data.Int(int64(i))},
-		))
-	}
-	return w.Close()
+	})
 }
 
-// hugeKeyTable mixes encodable keys with integers beyond ±2^53, which
-// the normalized encoding refuses — forcing the Compare-based fallback
-// arm of sortPairsByKey on every batch containing one.
+// hugeKeyTable mixes small keys with integers beyond ±2^53, whose
+// float64 images collide although the integers differ.
 func hugeKeyTable(env *Env, name string, n int) *dfs.File {
-	w := env.FS.Create(name)
-	for i := 0; i < n; i++ {
-		var key data.Value
+	return keyTable(env, name, n, func(i int) data.Value {
 		if i%5 == 0 {
-			key = data.Int(int64(1)<<60 + int64(i%7))
-		} else {
-			key = data.Int(int64(i % 17))
+			return data.Int(int64(1)<<60 + int64(i%7))
 		}
-		w.Append(data.Object(
-			data.Field{Name: "k", Value: key},
-			data.Field{Name: "seq", Value: data.Int(int64(i))},
-		))
-	}
-	return w.Close()
+		return data.Int(int64(i % 17))
+	})
 }
 
-// runShuffle executes the canonical identity shuffle (key by .k, emit
-// group members in order) with statistics collection on .k.
+// extremeKeyTable cycles through the numbers a float64 image alone
+// cannot order or group: NaN, ±Inf, a real -0.0 next to 0, ±2^63 as
+// ints and doubles, and ints and doubles around ±2^53.
+func extremeKeyTable(env *Env, name string, n int) *dfs.File {
+	keys := []data.Value{
+		data.Double(math.NaN()), data.Double(-math.NaN()),
+		data.Double(math.Inf(1)), data.Double(math.Inf(-1)),
+		data.Double(math.Copysign(0, -1)), data.Int(0), data.Double(0),
+		data.Int(math.MaxInt64), data.Int(math.MinInt64),
+		data.Double(0x1p63), data.Double(-0x1p63),
+		data.Int(1 << 53), data.Int(1<<53 + 1), data.Double(1 << 53),
+		data.Int(-1<<53 - 1), data.Double(-1 << 53), data.Int(7),
+	}
+	return keyTable(env, name, n, func(i int) data.Value { return keys[i%len(keys)] })
+}
+
+// keyTables lists the adversarial key tables every reference test runs
+// over.
+var keyTables = []struct {
+	name  string
+	build func(env *Env, name string, n int) *dfs.File
+}{
+	{"mixed", mixedKeyTable},
+	{"huge", hugeKeyTable},
+	{"extreme", extremeKeyTable},
+}
+
+// withGroupSize tags a shuffled row with the size of its key group, so
+// a grouping bug shows up in the rows even when their order survives.
+func withGroupSize(rec data.Value, n int) data.Value {
+	return data.MergeObjects(rec, data.Object(data.Field{Name: "n", Value: data.Int(int64(n))}))
+}
+
+// groupSizeReduce emits every group member tagged with the group size.
+func groupSizeReduce(rc *ReduceCtx, key data.Value, group []Tagged) {
+	for _, g := range group {
+		rc.Emit(withGroupSize(g.Rec, len(group)))
+	}
+}
+
+// referenceShuffle is what a shuffle of rows (in map submission order)
+// keyed by key and reduced by groupSizeReduce must output.
+func referenceShuffle(rows []data.Value, key data.Path, numReducers int) []data.Value {
+	parts := make([][]data.Value, numReducers)
+	for _, row := range rows {
+		p := data.Hash64(key.Eval(row)) % uint64(numReducers)
+		parts[p] = append(parts[p], row)
+	}
+	var out []data.Value
+	for _, part := range parts {
+		slices.SortStableFunc(part, func(a, b data.Value) int {
+			return data.Compare(key.Eval(a), key.Eval(b))
+		})
+		for lo := 0; lo < len(part); {
+			hi := lo + 1
+			for hi < len(part) && data.Equal(key.Eval(part[hi]), key.Eval(part[lo])) {
+				hi++
+			}
+			for _, row := range part[lo:hi] {
+				out = append(out, withGroupSize(row, hi-lo))
+			}
+			lo = hi
+		}
+	}
+	return out
+}
+
+// referenceStats collects statistics over rows in one collector, as the
+// merged per-task partials of a job emitting rows must report them.
+func referenceStats(env *Env, rows []data.Value, inputs int, paths []data.Path) *stats.Partial {
+	c := stats.NewCollector(paths, 0)
+	c.ObserveInputs(inputs)
+	for _, row := range rows {
+		c.ObserveOutput(row, env.VirtualSize(row))
+	}
+	return c.Partial()
+}
+
+// referenceProbe is the nested-loop join of probe rows against build
+// rows on key equality, in probe order then build scan order.
+func referenceProbe(probe, build []data.Value, key data.Path) []data.Value {
+	var out []data.Value
+	for _, p := range probe {
+		for _, b := range build {
+			if data.Equal(key.Eval(p), key.Eval(b)) {
+				out = append(out, data.MergeObjects(p, b))
+			}
+		}
+	}
+	return out
+}
+
+// runShuffle executes the group-size shuffle keyed by .k with
+// statistics collection on .k.
 func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 	t.Helper()
 	key := data.MustParsePath("k")
@@ -85,14 +170,10 @@ func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
 			mc.EmitKV(key.Eval(rec), "L", rec)
 		}}},
-		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
-			for _, g := range group {
-				rc.Emit(g.Rec)
-			}
-		},
+		Reduce:       groupSizeReduce,
 		NumReducers:  4,
 		Output:       "diff-shuffled",
-		CollectStats: []data.Path{data.MustParsePath("k")},
+		CollectStats: []data.Path{key},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,108 +181,121 @@ func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 	return res
 }
 
-func assertSameRecords(t *testing.T, fast, legacy []data.Value) {
+func assertSameRecords(t *testing.T, got, want []data.Value) {
 	t.Helper()
-	if len(fast) != len(legacy) {
-		t.Fatalf("record count diverged: fast %d, legacy %d", len(fast), len(legacy))
+	if len(got) != len(want) {
+		t.Fatalf("record count diverged: got %d, want %d", len(got), len(want))
 	}
-	for i := range fast {
-		if !data.Equal(fast[i], legacy[i]) {
-			t.Fatalf("record %d diverged:\n  fast:   %v\n  legacy: %v", i, fast[i], legacy[i])
+	for i := range got {
+		if !data.Equal(got[i], want[i]) {
+			t.Fatalf("record %d diverged:\n  got:  %v\n  want: %v", i, got[i], want[i])
 		}
 	}
 }
 
-func assertSameStats(t *testing.T, fast, legacy *stats.Partial) {
+func assertSameStats(t *testing.T, got, want *stats.Partial) {
 	t.Helper()
-	if fast.InRecords != legacy.InRecords || fast.OutRecords != legacy.OutRecords || fast.OutBytes != legacy.OutBytes {
-		t.Fatalf("partial counters diverged: fast{in=%d out=%d bytes=%d} legacy{in=%d out=%d bytes=%d}",
-			fast.InRecords, fast.OutRecords, fast.OutBytes,
-			legacy.InRecords, legacy.OutRecords, legacy.OutBytes)
+	if got.InRecords != want.InRecords || got.OutRecords != want.OutRecords || got.OutBytes != want.OutBytes {
+		t.Fatalf("partial counters diverged: got{in=%d out=%d bytes=%d} want{in=%d out=%d bytes=%d}",
+			got.InRecords, got.OutRecords, got.OutBytes,
+			want.InRecords, want.OutRecords, want.OutBytes)
 	}
-	fe, le := fast.Exact(), legacy.Exact()
-	if fe.Card != le.Card || fe.AvgRecSize != le.AvgRecSize {
-		t.Fatalf("exact stats diverged: fast{card=%v avg=%v} legacy{card=%v avg=%v}",
-			fe.Card, fe.AvgRecSize, le.Card, le.AvgRecSize)
+	ge, we := got.Exact(), want.Exact()
+	if ge.Card != we.Card || ge.AvgRecSize != we.AvgRecSize {
+		t.Fatalf("exact stats diverged: got{card=%v avg=%v} want{card=%v avg=%v}",
+			ge.Card, ge.AvgRecSize, we.Card, we.AvgRecSize)
 	}
-	if len(fe.Cols) != len(le.Cols) {
-		t.Fatalf("column stats diverged: fast has %d cols, legacy %d", len(fe.Cols), len(le.Cols))
+	if len(ge.Cols) != len(we.Cols) {
+		t.Fatalf("column stats diverged: got %d cols, want %d", len(ge.Cols), len(we.Cols))
 	}
-	for path, fc := range fe.Cols {
-		lc, ok := le.Cols[path]
+	for path, gc := range ge.Cols {
+		wc, ok := we.Cols[path]
 		if !ok {
-			t.Fatalf("column %q present only in fast stats", path)
+			t.Fatalf("column %q present only in got stats", path)
 		}
-		if fc.NDV != lc.NDV || !data.Equal(fc.Min, lc.Min) || !data.Equal(fc.Max, lc.Max) {
-			t.Fatalf("column %q stats diverged: fast{ndv=%v min=%v max=%v} legacy{ndv=%v min=%v max=%v}",
-				path, fc.NDV, fc.Min, fc.Max, lc.NDV, lc.Min, lc.Max)
+		if gc.NDV != wc.NDV || !data.Equal(gc.Min, wc.Min) || !data.Equal(gc.Max, wc.Max) {
+			t.Fatalf("column %q stats diverged: got{ndv=%v min=%v max=%v} want{ndv=%v min=%v max=%v}",
+				path, gc.NDV, gc.Min, gc.Max, wc.NDV, wc.Min, wc.Max)
 		}
 	}
 }
 
-// TestShuffleFastVsLegacyIdentical asserts the shuffle produces
-// bit-identical output with the fast path on and off over keys of
-// every encodable kind.
+// checkShuffle runs the shuffle over a table and checks rows and
+// statistics against the Compare/Equal reference.
+func checkShuffle(t *testing.T, build func(env *Env, name string, n int) *dfs.File, n int) {
+	t.Helper()
+	env := benchEnv()
+	f := build(env, "t", n)
+	res := runShuffle(t, env, f)
+	key := data.MustParsePath("k")
+	want := referenceShuffle(f.AllRecords(), key, 4)
+	if res.OutRecords != int64(n) {
+		t.Fatalf("out records %d, want %d", res.OutRecords, n)
+	}
+	assertSameRecords(t, res.Output.AllRecords(), want)
+	assertSameStats(t, res.Stats, referenceStats(env, want, 0, []data.Path{key}))
+}
+
+// TestShuffleFastVsLegacyIdentical checks the normalized-key shuffle
+// against the legacy algorithm — stable sort by data.Compare, group by
+// data.Equal — over keys of every scalar kind.
 func TestShuffleFastVsLegacyIdentical(t *testing.T) {
-	fastEnv, legacyEnv := diffEnv(false), diffEnv(true)
-	fastRes := runShuffle(t, fastEnv, mixedKeyTable(fastEnv, "t", 1500))
-	legacyRes := runShuffle(t, legacyEnv, mixedKeyTable(legacyEnv, "t", 1500))
-	if fastRes.OutRecords != 1500 || legacyRes.OutRecords != 1500 {
-		t.Fatalf("out records: fast %d, legacy %d, want 1500", fastRes.OutRecords, legacyRes.OutRecords)
-	}
-	assertSameRecords(t, fastRes.Output.AllRecords(), legacyRes.Output.AllRecords())
-	assertSameStats(t, fastRes.Stats, legacyRes.Stats)
+	checkShuffle(t, mixedKeyTable, 1500)
 }
 
-// TestShuffleFallbackKeysIdentical covers the wholesale fallback to
-// Compare-based sorting: batches containing a key the normalized
-// encoding cannot represent (|int| > 2^53) must still match the legacy
-// path exactly.
+// TestShuffleFallbackKeysIdentical covers the keys that used to need a
+// Compare-based fallback sort: integers beyond ±2^53, NaN, ±Inf, -0.0
+// and the int64 extremes. They must order and group exactly as the
+// legacy algorithm does.
 func TestShuffleFallbackKeysIdentical(t *testing.T) {
-	fastEnv, legacyEnv := diffEnv(false), diffEnv(true)
-	fastRes := runShuffle(t, fastEnv, hugeKeyTable(fastEnv, "t", 900))
-	legacyRes := runShuffle(t, legacyEnv, hugeKeyTable(legacyEnv, "t", 900))
-	assertSameRecords(t, fastRes.Output.AllRecords(), legacyRes.Output.AllRecords())
-	assertSameStats(t, fastRes.Stats, legacyRes.Stats)
+	checkShuffle(t, hugeKeyTable, 900)
+	checkShuffle(t, extremeKeyTable, 900)
 }
 
-// TestBroadcastJoinFastVsLegacyIdentical asserts the normalized-key
-// hash table used by map-side joins probes to exactly the same matches
-// as the legacy Compare-based table.
+// TestBroadcastJoinFastVsLegacyIdentical checks the normalized-key hash
+// table used by map-side joins against a nested-loop join on
+// data.Equal, over every adversarial key table.
 func TestBroadcastJoinFastVsLegacyIdentical(t *testing.T) {
-	probeKey := data.MustParsePath("k")
-	buildKey := data.MustParsePath("k")
-	run := func(env *Env) []data.Value {
-		probe := mixedKeyTable(env, "probe", 800)
-		build := mixedKeyTable(env, "build", 120)
-		res, err := Run(env, Spec{
-			Name: "diff-bjoin",
-			Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
-				for _, m := range mc.Build("b").Probe(probeKey.Eval(rec)) {
-					mc.Emit(data.MergeObjects(rec, m))
-				}
-			}}},
-			Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{buildKey}}},
-			Output:     "diff-bjoined",
+	key := data.MustParsePath("k")
+	for _, tbl := range keyTables {
+		t.Run(tbl.name, func(t *testing.T) {
+			env := benchEnv()
+			probe := tbl.build(env, "probe", 800)
+			build := tbl.build(env, "build", 120)
+			res, err := Run(env, Spec{
+				Name: "diff-bjoin",
+				Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
+					for _, m := range mc.Build("b").Probe(key.Eval(rec)) {
+						mc.Emit(data.MergeObjects(rec, m))
+					}
+				}}},
+				Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{key}}},
+				Output:     "diff-bjoined",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OutRecords == 0 {
+				t.Fatal("join produced no rows; test is vacuous")
+			}
+			assertSameRecords(t, res.Output.AllRecords(), referenceProbe(probe.AllRecords(), build.AllRecords(), key))
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Output.AllRecords()
 	}
-	assertSameRecords(t, run(diffEnv(false)), run(diffEnv(true)))
 }
 
-// TestSortPairsByKeyMatchesCompareOrder asserts the two comparator
-// arms of sortPairsByKey produce the identical permutation: the same
-// random batch is sorted once with normalized keys attached and once
-// with them stripped (forcing the data.Compare arm), and the resulting
-// orders must agree element for element — including among equal keys,
-// by stability.
+// TestSortPairsByKeyMatchesCompareOrder asserts sortPairsByKey yields
+// the permutation a stable sort by data.Compare yields on the same
+// batch — including among equal keys, by stability — over keys that
+// mix kinds and numeric edge cases.
 func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	edge := []data.Value{
+		data.Double(math.NaN()), data.Double(math.Inf(-1)), data.Double(math.Copysign(0, -1)),
+		data.Int(1 << 53), data.Int(1<<53 + 1), data.Double(1 << 53), data.Int(math.MaxInt64),
+		data.Double(0x1p63), data.Int(math.MinInt64),
+	}
 	mkKey := func() data.Value {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			return data.Int(int64(rng.Intn(21) - 10))
 		case 1:
@@ -212,34 +306,31 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 			return data.Bool(rng.Intn(2) == 0)
 		case 4:
 			return data.Null()
+		case 5:
+			return edge[rng.Intn(len(edge))]
 		default:
-			return data.Array(data.Int(int64(rng.Intn(4))), data.String("x"))
+			return data.Array(edge[rng.Intn(len(edge))], data.String("x"))
 		}
 	}
 	const n = 2000
-	withNK := make([]kvPair, 0, n)
-	withoutNK := make([]kvPair, 0, n)
+	pairs := make([]kvPair, 0, n)
 	for i := 0; i < n; i++ {
 		key := mkKey()
 		rec := data.Object(data.Field{Name: "seq", Value: data.Int(int64(i))})
-		nk, ok := data.NormKey(key)
-		if !ok {
-			t.Fatalf("key %v unexpectedly unencodable", key)
-		}
-		withNK = append(withNK, kvPair{key: key, nk: nk, tag: "T", rec: rec})
-		withoutNK = append(withoutNK, kvPair{key: key, tag: "T", rec: rec})
+		pairs = append(pairs, kvPair{key: key, nk: data.NormKey(key), tag: "T", rec: rec})
 	}
-	sortPairsByKey(withNK)
-	sortPairsByKey(withoutNK)
-	for i := range withNK {
-		if !data.Equal(withNK[i].rec, withoutNK[i].rec) {
-			t.Fatalf("permutation diverged at %d: fast key %v rec %v, legacy key %v rec %v",
-				i, withNK[i].key, withNK[i].rec, withoutNK[i].key, withoutNK[i].rec)
+	want := slices.Clone(pairs)
+	slices.SortStableFunc(want, func(a, b kvPair) int { return data.Compare(a.key, b.key) })
+	sortPairsByKey(pairs)
+	for i := range pairs {
+		if !data.Equal(pairs[i].rec, want[i].rec) {
+			t.Fatalf("permutation diverged at %d: key %v rec %v, reference key %v rec %v",
+				i, pairs[i].key, pairs[i].rec, want[i].key, want[i].rec)
 		}
 	}
 }
 
-// BenchmarkSortPairsByKey measures the normalized-key sort arm — the
+// BenchmarkSortPairsByKey measures the normalized-key sort — the
 // comparator on the shuffle's critical path (CI tracks its allocs/op).
 func BenchmarkSortPairsByKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -247,26 +338,7 @@ func BenchmarkSortPairsByKey(b *testing.B) {
 	base := make([]kvPair, n)
 	for i := range base {
 		key := data.Int(int64(rng.Intn(1 << 20)))
-		nk, _ := data.NormKey(key)
-		base[i] = kvPair{key: key, nk: nk, tag: "T"}
-	}
-	scratch := make([]kvPair, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, base)
-		sortPairsByKey(scratch)
-	}
-}
-
-// BenchmarkSortPairsByKeyCompare measures the data.Compare fallback
-// arm over the same batch, for the legacy-vs-fast comparator ratio.
-func BenchmarkSortPairsByKeyCompare(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 4096
-	base := make([]kvPair, n)
-	for i := range base {
-		base[i] = kvPair{key: data.Int(int64(rng.Intn(1 << 20))), tag: "T"}
+		base[i] = kvPair{key: key, nk: data.NormKey(key), tag: "T"}
 	}
 	scratch := make([]kvPair, n)
 	b.ReportAllocs()

@@ -92,7 +92,7 @@ func adversarialValues() []data.Value {
 		data.Object(),
 		data.Object(
 			data.Field{Name: "s", Value: data.String("a\x00b")},
-			data.Field{Name: "d", Value: data.Double(-0.0)},
+			data.Field{Name: "d", Value: data.Double(math.Copysign(0, -1))},
 			data.Field{Name: "o", Value: data.Object(data.Field{Name: "n", Value: data.Int(1 << 53)})},
 		),
 		data.Object(
@@ -131,7 +131,7 @@ func TestBinValueRoundTripBitExactDoubles(t *testing.T) {
 func TestBinTypedColumnsWithNulls(t *testing.T) {
 	cases := map[string][]data.Value{
 		"int":    {data.Int(1), data.Null(), data.Int(-(1 << 53)), data.Int(7), data.Null()},
-		"double": {data.Null(), data.Double(-0.0), data.Double(2.5)},
+		"double": {data.Null(), data.Double(math.Copysign(0, -1)), data.Double(2.5)},
 		"string": {data.String("dup"), data.String("dup"), data.Null(), data.String("a\x00b")},
 		"bool":   {data.Bool(true), data.Null(), data.Bool(false)},
 		"object": {
@@ -229,7 +229,7 @@ func sampleTasks(t testing.TB) []*Task {
 			Fetches: []ShuffleRef{
 				{URL: "http://127.0.0.1:9001", ID: "j1-m0#1", Part: 3},
 				{Pairs: []KV{
-					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
+					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(math.Copysign(0, -1))})},
 					{Key: data.String("k\x00"), Rec: data.Null()},
 				}},
 			},
@@ -273,7 +273,7 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 		{Rows: adversarialValues(), CPUSeconds: 0.25},
 		{
 			Pairs: [][]KV{
-				{{Key: data.Int(1), Tag: "L", Rec: data.String("a\x00")}, {Key: data.Int(1), Tag: "R", Rec: data.Double(-0.0)}},
+				{{Key: data.Int(1), Tag: "L", Rec: data.String("a\x00")}, {Key: data.Int(1), Tag: "R", Rec: data.Double(math.Copysign(0, -1))}},
 				nil,
 				{{Key: data.Null(), Rec: data.Array(data.Int(1 << 53))}},
 			},

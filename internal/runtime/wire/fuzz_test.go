@@ -215,7 +215,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	defer results.Close()
 	block := EncodeBlock(adversarialValues())
 	defer block.Close()
-	shuffle := EncodeShuffle([]KV{{Key: data.String("k"), Rec: data.Array(data.Double(-0.0))}, {Key: data.Null(), Tag: "R", Rec: data.Null()}})
+	shuffle := EncodeShuffle([]KV{{Key: data.String("k"), Rec: data.Array(data.Double(math.Copysign(0, -1)))}, {Key: data.Null(), Tag: "R", Rec: data.Null()}})
 	defer shuffle.Close()
 	for _, fr := range []*Frame{tasks, results, block, shuffle} {
 		f.Add(fr.Bytes())

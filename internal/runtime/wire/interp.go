@@ -29,10 +29,10 @@ type MapResult struct {
 	CPUTotal float64
 }
 
-// Table is the worker-side broadcast build: the engine's legacy hash
-// index (bucket by key hash, equality recheck on probe, build scan
-// order preserved), which is documented to return probe results
-// identical to the controller's normalized-key fast index.
+// Table is the worker-side broadcast build: a hash index (bucket by
+// key hash, equality recheck on probe, build scan order preserved)
+// that returns probe results identical to the engine's normalized-key
+// HashTable.
 type Table struct {
 	buckets map[uint64][]data.Value
 	keys    []data.Path
@@ -65,7 +65,7 @@ func BuildTable(reg *expr.Registry, wrap string, filter expr.Expr, keys []data.P
 }
 
 // Probe returns the build rows whose key equals k, in build scan
-// order (the legacy probe from the engine's HashTable).
+// order.
 func (t *Table) Probe(k data.Value) []data.Value {
 	cands := t.buckets[data.Hash64(k)]
 	if len(cands) == 0 {

@@ -18,7 +18,7 @@ out="${1:-bench_allocs.txt}"
 # signal and keeps the smoke fast.
 go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormKeyEncode)$' \
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
-go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey|BenchmarkSortPairsByKeyCompare)$' \
+go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey)$' \
     -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
