@@ -173,7 +173,7 @@ func KeySig(alias string, paths []data.Path) string {
 
 // Keys returns the cached key columns for the given key paths
 // evaluated over the alias-wrapped rows ("" = raw records), exactly as
-// CompositeKeyCompiled would per record. sig must be
+// mapreduce.CompositeKey would per record. sig must be
 // KeySig(alias, paths).
 func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 	d.mu.Lock()

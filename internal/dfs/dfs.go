@@ -97,6 +97,11 @@ type Block struct {
 	aux      atomic.Value
 }
 
+// NewBlock wraps records that live outside any file — a proc worker's
+// decoded copy of a mirrored block — so the map task body and the
+// batch layer's per-block cache work on them as on a DFS split.
+func NewBlock(recs []data.Value) *Block { return &Block{records: recs} }
+
 // Records returns the block's records. Callers must not mutate the
 // slice.
 func (b *Block) Records() []data.Value { return b.records }

@@ -119,22 +119,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 	prune := opts.Prune
 	switch u.Kind {
 	case UnitScan:
-		file, err := u.Probe.file()
-		if err != nil {
-			return spec, err
-		}
-		in := mapreduce.Input{File: file, Map: scanMap(sourceRowFn(u.Probe, file), prune)}
-		if prune == nil {
-			if alias, pred, ok := batchSource(u.Probe); ok {
-				in.BatchMap = mapreduce.ScanBatch(alias, pred)
-			}
-		}
-		spec.Inputs = []mapreduce.Input{in}
-		if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
-			return scanOp(u.Probe, opts.PruneLive)
-		}); err != nil {
-			return spec, err
-		}
+		return spec, Scan(env, &spec, u.Probe, prune, opts.PruneLive)
 	case UnitRepartition:
 		j := u.Chain[0]
 		lf, err := u.Probe.file()
@@ -156,13 +141,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 			}
 			if float64(bf.Size()) <= opts.SwitchMmax {
 				u.Switched = true
-				steps := []buildStep{{src: build, join: j}}
-				if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
-					return chainOp(probe, steps, opts.PruneLive)
-				}); err != nil {
-					return spec, err
-				}
-				return broadcastSpec(spec, probe, pf, steps, prune)
+				return broadcastSpec(env, spec, probe, pf, []buildStep{{src: build, join: j}}, prune, opts.PruneLive)
 			}
 		}
 		// Size the reduce phase from the estimated shuffle volume (both
@@ -171,55 +150,24 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		spec.NumReducers = reducersFor(env, j.Left.Bytes()+j.Right.Bytes())
 		lKeys := probeKeyPaths(j, u.Probe.aliases())
 		rKeys := probeKeyPaths(j, u.Right.aliases())
-		spec.Inputs = []mapreduce.Input{
-			{File: lf, Map: shuffleMap(sourceRowFn(u.Probe, lf), u.Probe, lf, lKeys, "L", prune)},
-			{File: rf, Map: shuffleMap(sourceRowFn(u.Right, rf), u.Right, rf, rKeys, "R", prune)},
-		}
-		if prune == nil {
-			if alias, pred, ok := batchSource(u.Probe); ok {
-				spec.Inputs[0].BatchMap = mapreduce.ShuffleBatch(alias, pred, lKeys, "L")
-			}
-			if alias, pred, ok := batchSource(u.Right); ok {
-				spec.Inputs[1].BatchMap = mapreduce.ShuffleBatch(alias, pred, rKeys, "R")
-			}
-		}
+		lFirst, rFirst := firstRecord(lf), firstRecord(rf)
+		left := shuffleInput(u.Probe, lFirst, lKeys, "L", prune)
+		left.File = lf
+		right := shuffleInput(u.Right, rFirst, rKeys, "R", prune)
+		right.File = rf
+		spec.Inputs = []mapreduce.Input{left, right}
 		residual := expr.Conjoin(j.Residual)
 		if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
-			return repartitionOp(u, residual, wire.EncodePaths(lKeys), wire.EncodePaths(rKeys), opts.PruneLive)
+			return repartitionOp(u, residual, lKeys, rKeys, opts.PruneLive)
 		}); err != nil {
 			return spec, err
 		}
-		if residual != nil {
+		if residual != nil && !lFirst.IsNull() && !rFirst.IsNull() {
 			// The residual sees merged L+R rows; a merge of the two
 			// mapped samples has the layout reduce-side rows will have.
-			ls, lok := mapSample(u.Probe, lf, prune)
-			rs, rok := mapSample(u.Right, rf, prune)
-			if lok && rok {
-				residual = expr.Compile(residual, data.MergeObjects(ls, rs))
-			}
+			residual = expr.Compile(residual, data.MergeObjects(mapSample(u.Probe, lFirst, prune), mapSample(u.Right, rFirst, prune)))
 		}
-		spec.Reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			var ls, rs []data.Value
-			for _, g := range group {
-				if g.Tag == "L" {
-					ls = append(ls, g.Rec)
-				} else {
-					rs = append(rs, g.Rec)
-				}
-			}
-			for _, l := range ls {
-				for _, r := range rs {
-					merged := data.MergeObjects(l, r)
-					if residual != nil && !residual.Eval(rc.ExprCtx(), merged).Truthy() {
-						continue
-					}
-					if prune != nil {
-						merged = prune(merged)
-					}
-					rc.Emit(merged)
-				}
-			}
-		}
+		spec.Reduce = repartitionReduce(residual, prune)
 	case UnitBroadcastChain:
 		pf, err := u.Probe.file()
 		if err != nil {
@@ -229,19 +177,35 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 		for i, m := range u.Chain {
 			steps[i] = buildStep{src: u.Builds[i], join: m}
 		}
-		if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
-			return chainOp(u.Probe, steps, opts.PruneLive)
-		}); err != nil {
-			return spec, err
-		}
-		return broadcastSpec(spec, u.Probe, pf, steps, prune)
+		return broadcastSpec(env, spec, u.Probe, pf, steps, prune, opts.PruneLive)
 	}
 	return spec, nil
 }
 
-// firstRecord returns the first record of a file, for use as a schema
-// sample when compiling per-job expressions.
-func firstRecord(f *dfs.File) (data.Value, bool) { return f.FirstRecord() }
+// Scan sets spec's one input to a scan of s — its records wrapped,
+// filtered and pruned (prune may be nil) — and, when env has a task
+// executor, its remote op to the same scan over the live-column map
+// prune was built from. Scan units and the engine's pilot runs build
+// their jobs here.
+func Scan(env *mapreduce.Env, spec *mapreduce.Spec, s Source, prune func(data.Value) data.Value, live map[string]map[string]bool) error {
+	f, err := s.file()
+	if err != nil {
+		return err
+	}
+	in := scanInput(s, firstRecord(f), prune)
+	in.File = f
+	spec.Inputs = []mapreduce.Input{in}
+	return attachRemoteOp(env, spec, func() (*wire.OpSpec, error) {
+		return scanOp(s, live)
+	})
+}
+
+// firstRecord returns a file's first record, or null for an empty
+// file: the schema sample per-job expressions are compiled against.
+func firstRecord(f *dfs.File) data.Value {
+	rec, _ := f.FirstRecord()
+	return rec
+}
 
 // wrapSample applies a source's alias wrapping (but not its filter) to
 // a raw record, yielding the row shape the source's expressions see.
@@ -253,36 +217,18 @@ func wrapSample(s Source, rec data.Value) data.Value {
 }
 
 // mapSample returns a sample row with the layout the source's map
-// function emits: the first input record, wrapped and pruned. The
-// filter is deliberately not applied — it selects rows, it does not
-// change their shape.
-func mapSample(s Source, f *dfs.File, prune func(data.Value) data.Value) (data.Value, bool) {
-	rec, ok := firstRecord(f)
-	if !ok {
-		return data.Null(), false
+// function emits: the input's first record, wrapped and pruned; null
+// when the input is empty. The filter is deliberately not applied — it
+// selects rows, it does not change their shape.
+func mapSample(s Source, first data.Value, prune func(data.Value) data.Value) data.Value {
+	if first.IsNull() {
+		return first
 	}
-	row := wrapSample(s, rec)
+	row := wrapSample(s, first)
 	if prune != nil {
 		row = prune(row)
 	}
-	return row, true
-}
-
-// compileSource returns a copy of the source whose filter is compiled
-// against the input file's first record (schema-resolved column
-// access). Compilation never changes results — accessors verify field
-// positions per record and fall back to name lookup — so heterogeneous
-// inputs and empty files are handled transparently.
-func compileSource(s Source, f *dfs.File) Source {
-	if s.Filter == nil {
-		return s
-	}
-	rec, ok := firstRecord(f)
-	if !ok {
-		return s
-	}
-	s.Filter = expr.Compile(s.Filter, wrapSample(s, rec))
-	return s
+	return row
 }
 
 // buildStep pairs a broadcast build source with the join it serves.
@@ -291,40 +237,36 @@ type buildStep struct {
 	join *plan.Join
 }
 
-// probeStep is one compiled link of a broadcast probe chain: the build
-// table's registered name, the probe-side key columns, and the join's
-// residual filter.
+// probeStep is one link of a broadcast probe chain: the build table's
+// registered name, the probe-side key columns, and the join's residual
+// filter.
 type probeStep struct {
 	name     string
 	keys     []data.Path
-	keyAccs  []*data.Accessor // nil = interpret keys (empty probe input)
+	keyAccs  []*data.Accessor
 	residual expr.Expr
 }
 
-// broadcastSpec assembles a map-only hash-join job: the probe input
-// streams through the chain of builds, merging and applying each
-// join's residual filters inline. The probe filter, per-step key
-// paths, and residuals are compiled once per job against the probe
-// input's first (wrapped, pruned) record; key paths and residual
-// columns referencing build-side aliases simply compile without
-// positional hints and resolve through the accessor's name fallback,
-// no slower than the interpreted path.
-func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []buildStep, prune func(data.Value) data.Value) (mapreduce.Spec, error) {
+// chainPlan resolves a broadcast chain into its build sides and the
+// (uncompiled) probe steps: step i's probe-side keys resolve against
+// the probe aliases plus every build merged before it.
+func chainPlan(probe Source, steps []buildStep) ([]mapreduce.Broadcast, []probeStep, error) {
+	builds := make([]mapreduce.Broadcast, len(steps))
 	plans := make([]probeStep, len(steps))
 	probeAliases := append([]string(nil), probe.aliases()...)
 	for i, st := range steps {
 		name := fmt.Sprintf("b%d", i)
 		bf, err := st.src.file()
 		if err != nil {
-			return spec, err
+			return nil, nil, err
 		}
-		spec.Broadcasts = append(spec.Broadcasts, mapreduce.Broadcast{
+		builds[i] = mapreduce.Broadcast{
 			Name:     name,
 			File:     bf,
 			KeyPaths: probeKeyPaths(st.join, st.src.aliases()),
 			Wrap:     st.src.Wrap,
 			Filter:   st.src.Filter,
-		})
+		}
 		plans[i] = probeStep{
 			name:     name,
 			keys:     probeKeyPaths(st.join, probeAliases),
@@ -332,16 +274,45 @@ func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps
 		}
 		probeAliases = append(probeAliases, st.src.aliases()...)
 	}
-	if sample, ok := mapSample(probe, probeFile, prune); ok {
-		for i := range plans {
-			plans[i].keyAccs = data.CompileAccessors(plans[i].keys, sample)
-			if plans[i].residual != nil {
-				plans[i].residual = expr.Compile(plans[i].residual, sample)
-			}
+	return builds, plans, nil
+}
+
+// broadcastSpec assembles a map-only hash-join job: the probe input
+// streams through the chain of builds, merging and applying each
+// join's residual filters inline.
+func broadcastSpec(env *mapreduce.Env, spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []buildStep, prune func(data.Value) data.Value, live map[string]map[string]bool) (mapreduce.Spec, error) {
+	builds, plans, err := chainPlan(probe, steps)
+	if err != nil {
+		return spec, err
+	}
+	spec.Broadcasts = builds
+	in := chainInput(probe, firstRecord(probeFile), plans, prune)
+	in.File = probeFile
+	spec.Inputs = []mapreduce.Input{in}
+	err = attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
+		return chainOp(probe, plans, live)
+	})
+	return spec, err
+}
+
+// chainInput builds the map input of a broadcast-chain probe. The
+// probe filter, per-step key paths, and residuals are compiled once
+// against first, the probe input's first record (wrapped and pruned);
+// key paths and residual columns referencing build-side aliases — or
+// any column, for an empty input — simply compile without positional
+// hints and resolve through the accessor's name fallback, no slower
+// than the interpreted path.
+func chainInput(probe Source, first data.Value, steps []probeStep, prune func(data.Value) data.Value) mapreduce.Input {
+	plans := append([]probeStep(nil), steps...)
+	sample := mapSample(probe, first, prune)
+	for i := range plans {
+		plans[i].keyAccs = data.CompileAccessors(plans[i].keys, sample)
+		if plans[i].residual != nil && !sample.IsNull() {
+			plans[i].residual = expr.Compile(plans[i].residual, sample)
 		}
 	}
-	probeRow := sourceRowFn(probe, probeFile)
-	spec.Inputs = []mapreduce.Input{{File: probeFile, Map: func(mc *mapreduce.MapCtx, rec data.Value) {
+	probeRow := sourceRowFn(probe, first)
+	in := mapreduce.Input{Map: func(mc *mapreduce.MapCtx, rec data.Value) {
 		row := probeRow(mc.ExprCtx(), rec)
 		if row.IsNull() {
 			return
@@ -355,13 +326,7 @@ func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps
 			ht := mc.Build(st.name)
 			var next []data.Value
 			for _, r := range rows {
-				var key data.Value
-				if st.keyAccs != nil {
-					key = mapreduce.CompositeKeyCompiled(r, st.keyAccs)
-				} else {
-					key = mapreduce.CompositeKey(r, st.keys)
-				}
-				for _, m := range ht.Probe(key) {
+				for _, m := range ht.Probe(mapreduce.CompositeKey(r, st.keyAccs)) {
 					merged := data.MergeObjects(r, m)
 					if st.residual != nil && !st.residual.Eval(mc.ExprCtx(), merged).Truthy() {
 						continue
@@ -380,13 +345,13 @@ func broadcastSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps
 			}
 			mc.Emit(r)
 		}
-	}}}
+	}}
 	if prune == nil {
 		if alias, pred, ok := batchSource(probe); ok {
-			spec.Inputs[0].BatchMap = batchProbeChain(alias, pred, plans)
+			in.BatchMap = batchProbeChain(alias, pred, plans)
 		}
 	}
-	return spec, nil
+	return in
 }
 
 // batchProbeChain builds the batch arm of a broadcast-chain probe:
@@ -441,13 +406,7 @@ func batchProbeChain(alias string, pred expr.Expr, plans []probeStep) mapreduce.
 				ht := mc.Build(st.name)
 				next = next[:0]
 				for _, r := range cur {
-					var key data.Value
-					if st.keyAccs != nil {
-						key = mapreduce.CompositeKeyCompiled(r, st.keyAccs)
-					} else {
-						key = mapreduce.CompositeKey(r, st.keys)
-					}
-					for _, m := range ht.Probe(key) {
+					for _, m := range ht.Probe(mapreduce.CompositeKey(r, st.keyAccs)) {
 						merged := data.MergeObjects(r, m)
 						if st.residual != nil && !st.residual.Eval(mc.ExprCtx(), merged).Truthy() {
 							continue
@@ -482,19 +441,6 @@ func reducersFor(env *mapreduce.Env, shuffleBytes float64) int {
 	return n
 }
 
-// wrapFilter applies a source's alias wrapping and inline filter; it
-// returns null when the row is filtered out.
-func wrapFilter(ectx *expr.Ctx, s Source, rec data.Value) data.Value {
-	row := rec
-	if s.Wrap != "" {
-		row = data.ObjectFromSorted([]data.Field{{Name: s.Wrap, Value: rec}})
-	}
-	if s.Filter != nil && !s.Filter.Eval(ectx, row).Truthy() {
-		return data.Null()
-	}
-	return row
-}
-
 // rowFn maps a raw input record to the source's wrapped, filtered row;
 // null means the record was filtered out.
 type rowFn func(*expr.Ctx, data.Value) data.Value
@@ -506,15 +452,18 @@ type rowFn func(*expr.Ctx, data.Value) data.Value
 // predicate sees exactly the values it would see through the wrapped
 // row (see expr.StripAlias), and surviving rows are wrapped
 // identically, so emitted rows are bit-identical either way. Other
-// shapes keep the wrap-then-filter order, with the filter compiled
-// against the file's first wrapped record.
-func sourceRowFn(s Source, f *dfs.File) rowFn {
-	if s.Filter != nil && s.Wrap != "" {
-		if stripped, ok := expr.StripAlias(s.Filter, s.Wrap); ok {
-			if rec, okr := firstRecord(f); okr {
-				stripped = expr.Compile(stripped, rec)
+// shapes keep the wrap-then-filter order. Either way the filter is
+// compiled against first, the input's first record (null compiles
+// nothing). Compilation never changes results or UDF cost — accessors
+// verify field positions per record and fall back to name lookup — so
+// heterogeneous inputs and empty files are handled transparently.
+func sourceRowFn(s Source, first data.Value) rowFn {
+	wrap, filter := s.Wrap, s.Filter
+	if filter != nil && wrap != "" {
+		if stripped, ok := expr.StripAlias(filter, wrap); ok {
+			if !first.IsNull() {
+				stripped = expr.Compile(stripped, first)
 			}
-			wrap := s.Wrap
 			return func(ectx *expr.Ctx, rec data.Value) data.Value {
 				if !stripped.Eval(ectx, rec).Truthy() {
 					return data.Null()
@@ -523,9 +472,18 @@ func sourceRowFn(s Source, f *dfs.File) rowFn {
 			}
 		}
 	}
-	s = compileSource(s, f)
+	if filter != nil && !first.IsNull() {
+		filter = expr.Compile(filter, wrapSample(s, first))
+	}
 	return func(ectx *expr.Ctx, rec data.Value) data.Value {
-		return wrapFilter(ectx, s, rec)
+		row := rec
+		if wrap != "" {
+			row = data.ObjectFromSorted([]data.Field{{Name: wrap, Value: rec}})
+		}
+		if filter != nil && !filter.Eval(ectx, row).Truthy() {
+			return data.Null()
+		}
+		return row
 	}
 }
 
@@ -552,27 +510,34 @@ func batchSource(s Source) (alias string, pred expr.Expr, ok bool) {
 	return "", nil, false
 }
 
-// scanMap emits wrapped, filtered rows.
-func scanMap(row rowFn, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
+// scanInput builds the map input of a scan: wrapped, filtered, pruned
+// rows, with the columnar batch arm when the filter allows it.
+func scanInput(s Source, first data.Value, prune func(data.Value) data.Value) mapreduce.Input {
+	row := sourceRowFn(s, first)
+	in := mapreduce.Input{Map: func(mc *mapreduce.MapCtx, rec data.Value) {
 		if row := row(mc.ExprCtx(), rec); !row.IsNull() {
 			if prune != nil {
 				row = prune(row)
 			}
 			mc.Emit(row)
 		}
+	}}
+	if prune == nil {
+		if alias, pred, ok := batchSource(s); ok {
+			in.BatchMap = mapreduce.ScanBatch(alias, pred)
+		}
 	}
+	return in
 }
 
-// shuffleMap emits wrapped, filtered rows keyed for a repartition join.
-// The key paths are compiled once against the input's first (wrapped,
-// pruned) record.
-func shuffleMap(row rowFn, s Source, f *dfs.File, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	var keyAccs []*data.Accessor
-	if sample, ok := mapSample(s, f, prune); ok {
-		keyAccs = data.CompileAccessors(keys, sample)
-	}
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
+// shuffleInput builds one side of a repartition join: wrapped,
+// filtered, pruned rows shuffled under their key columns, tagged with
+// the side. The key paths are compiled once against the input's first
+// (wrapped, pruned) record.
+func shuffleInput(s Source, first data.Value, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.Input {
+	keyAccs := data.CompileAccessors(keys, mapSample(s, first, prune))
+	row := sourceRowFn(s, first)
+	in := mapreduce.Input{Map: func(mc *mapreduce.MapCtx, rec data.Value) {
 		row := row(mc.ExprCtx(), rec)
 		if row.IsNull() {
 			return
@@ -580,13 +545,40 @@ func shuffleMap(row rowFn, s Source, f *dfs.File, keys []data.Path, tag string, 
 		if prune != nil {
 			row = prune(row)
 		}
-		var key data.Value
-		if keyAccs != nil {
-			key = mapreduce.CompositeKeyCompiled(row, keyAccs)
-		} else {
-			key = mapreduce.CompositeKey(row, keys)
+		mc.EmitKV(mapreduce.CompositeKey(row, keyAccs), tag, row)
+	}}
+	if prune == nil {
+		if alias, pred, ok := batchSource(s); ok {
+			in.BatchMap = mapreduce.ShuffleBatch(alias, pred, keys, tag)
 		}
-		mc.EmitKV(key, tag, row)
+	}
+	return in
+}
+
+// repartitionReduce joins one key group: every L record with every R
+// record, merged, filtered by the residual, pruned.
+func repartitionReduce(residual expr.Expr, prune func(data.Value) data.Value) mapreduce.ReduceFunc {
+	return func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
+		var ls, rs []data.Value
+		for _, g := range group {
+			if g.Tag == "L" {
+				ls = append(ls, g.Rec)
+			} else {
+				rs = append(rs, g.Rec)
+			}
+		}
+		for _, l := range ls {
+			for _, r := range rs {
+				merged := data.MergeObjects(l, r)
+				if residual != nil && !residual.Eval(rc.ExprCtx(), merged).Truthy() {
+					continue
+				}
+				if prune != nil {
+					merged = prune(merged)
+				}
+				rc.Emit(merged)
+			}
+		}
 	}
 }
 

@@ -70,54 +70,61 @@ func runAggregateJob(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, out
 	// map phase reads.
 	groupBy := q.GroupBy
 	sel := q.Select
-	if sample, ok := firstRecord(final.File); ok {
+	if sample := firstRecord(final.File); !sample.IsNull() {
 		groupBy = compileExprs(q.GroupBy, sample)
 		sel = compileSelect(q.Select, sample)
 	}
 	spec := mapreduce.Spec{
 		Name:   outPath,
 		Output: outPath,
-		Inputs: []mapreduce.Input{{File: final.File, Map: func(mc *mapreduce.MapCtx, rec data.Value) {
-			mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
-		}}},
+		Inputs: []mapreduce.Input{{File: final.File, Map: groupMap(groupBy)}},
 	}
 	if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
 		return aggregateOp(q, env.UseCombiner)
 	}); err != nil {
 		return nil, err
 	}
-	if env.UseCombiner {
-		// Map-side partial aggregation: the combiner folds each map
-		// task's rows per group into one mergeable partial, and the
-		// reducer merges partials.
-		spec.Combine = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			rows := make([]data.Value, len(group))
-			for i, g := range group {
-				rows[i] = g.Rec
-			}
-			rc.Emit(rowops.PartialAggregate(rc.ExprCtx(), sel, rows))
-		}
-		spec.Reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			partials := make([]data.Value, len(group))
-			for i, g := range group {
-				partials[i] = g.Rec
-			}
-			rc.Emit(rowops.MergeAggregates(sel, partials))
-		}
-	} else {
-		spec.Reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			rows := make([]data.Value, len(group))
-			for i, g := range group {
-				rows[i] = g.Rec
-			}
-			rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel, rows))
-		}
-	}
+	spec.Reduce, spec.Combine = aggregateFuncs(sel, env.UseCombiner)
 	result, err := mapreduce.Run(env, spec)
 	if err != nil {
 		return nil, err
 	}
 	return result.Output.AllRecords(), nil
+}
+
+// groupMap shuffles each record under its grouping key.
+func groupMap(groupBy []expr.Expr) mapreduce.MapFunc {
+	return func(mc *mapreduce.MapCtx, rec data.Value) {
+		mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
+	}
+}
+
+// aggregateFuncs returns the grouping job's reducer and, with map-side
+// partial aggregation on, its combiner: the combiner folds each map
+// task's rows per group into one mergeable partial, and the reducer
+// merges partials. Without it the reducer aggregates whole groups.
+func aggregateFuncs(sel []sqlparse.SelectItem, combine bool) (reduce, combiner mapreduce.ReduceFunc) {
+	if !combine {
+		return func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
+			rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel, records(group)))
+		}, nil
+	}
+	reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
+		rc.Emit(rowops.MergeAggregates(sel, records(group)))
+	}
+	combiner = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
+		rc.Emit(rowops.PartialAggregate(rc.ExprCtx(), sel, records(group)))
+	}
+	return reduce, combiner
+}
+
+// records returns a key group's records.
+func records(group []mapreduce.Tagged) []data.Value {
+	rows := make([]data.Value, len(group))
+	for i, g := range group {
+		rows[i] = g.Rec
+	}
+	return rows
 }
 
 // compileSelect returns a copy of the select list with each item's

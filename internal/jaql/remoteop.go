@@ -3,19 +3,20 @@ package jaql
 import (
 	"fmt"
 
+	"dyno/internal/data"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/sqlparse"
 )
 
-// Remote operator construction. When the environment carries a task
-// executor (the proc backend), every submitted spec also gets a
-// serialized *wire.OpSpec describing the same transformation its local
-// closures perform; workers interpret it over the uncompiled
-// expressions (compilation is a pure evaluation-speed optimization, so
-// results and UDF cost accrual are identical either way). With no
-// executor installed nothing here runs and the sim arm is untouched.
+// Remote operators. When the environment carries a task executor (the
+// proc backend), every submitted spec also gets a serialized
+// *wire.OpSpec: the uncompiled values its builders were given. A
+// worker turns the op back into those values with DecodeOp and calls
+// the same builders, so both backends run one operator implementation.
+// With no executor installed the encoders never run and the sim arm is
+// untouched.
 
 // sourceSpec serializes a unit input source (minus its file, which the
 // executor resolves to mirrored blocks).
@@ -38,7 +39,7 @@ func scanOp(probe Source, live map[string]map[string]bool) (*wire.OpSpec, error)
 
 // repartitionOp serializes a repartition-join unit. The residual must
 // be the uncompiled conjoined join predicate over merged rows.
-func repartitionOp(u *Unit, residual expr.Expr, lKeys, rKeys []string, live map[string]map[string]bool) (*wire.OpSpec, error) {
+func repartitionOp(u *Unit, residual expr.Expr, lKeys, rKeys []data.Path, live map[string]map[string]bool) (*wire.OpSpec, error) {
 	left, err := sourceSpec(u.Probe)
 	if err != nil {
 		return nil, err
@@ -55,34 +56,27 @@ func repartitionOp(u *Unit, residual expr.Expr, lKeys, rKeys []string, live map[
 		Kind:      "repartition",
 		Left:      left,
 		Right:     right,
-		LeftKeys:  lKeys,
-		RightKeys: rKeys,
+		LeftKeys:  wire.EncodePaths(lKeys),
+		RightKeys: wire.EncodePaths(rKeys),
 		Residual:  res,
 		Prune:     wire.EncodePrune(live),
 	}, nil
 }
 
-// chainOp serializes a broadcast-chain unit, replicating
-// broadcastSpec's alias accumulation: step i's probe-side keys resolve
-// against the probe aliases plus all builds merged before it.
-func chainOp(probe Source, steps []buildStep, live map[string]map[string]bool) (*wire.OpSpec, error) {
+// chainOp serializes a broadcast-chain unit from its uncompiled probe
+// steps (chainPlan).
+func chainOp(probe Source, plans []probeStep, live map[string]map[string]bool) (*wire.OpSpec, error) {
 	src, err := sourceSpec(probe)
 	if err != nil {
 		return nil, err
 	}
 	op := &wire.OpSpec{Kind: "chain", Source: src, Prune: wire.EncodePrune(live)}
-	probeAliases := append([]string(nil), probe.aliases()...)
-	for i, st := range steps {
-		residual, err := wire.EncodeExpr(expr.Conjoin(st.join.Residual))
+	for i, st := range plans {
+		residual, err := wire.EncodeExpr(st.residual)
 		if err != nil {
 			return nil, fmt.Errorf("jaql: chain step %d residual: %w", i, err)
 		}
-		op.Steps = append(op.Steps, wire.ChainStep{
-			Build:    fmt.Sprintf("b%d", i),
-			Keys:     wire.EncodePaths(probeKeyPaths(st.join, probeAliases)),
-			Residual: residual,
-		})
-		probeAliases = append(probeAliases, st.src.aliases()...)
+		op.Steps = append(op.Steps, wire.ChainStep{Build: st.name, Keys: wire.EncodePaths(st.keys), Residual: residual})
 	}
 	return op, nil
 }
@@ -114,4 +108,112 @@ func attachRemoteOp(env *mapreduce.Env, spec *mapreduce.Spec, build func() (*wir
 	}
 	spec.RemoteOp = op
 	return nil
+}
+
+// TaskFuncs is a remote operator decoded into the functions its job's
+// task bodies run.
+type TaskFuncs struct {
+	Input   mapreduce.Input      // map side of the decoded input
+	Reduce  mapreduce.ReduceFunc // nil for map-only ops
+	Combine mapreduce.ReduceFunc // nil unless the op's tasks combine
+}
+
+// DecodeOp turns a remote operator back into the values buildSpec and
+// runAggregateJob give their builders — sources, keys, probe steps,
+// prune map, grouping and select list — and calls those builders: the
+// map side of input inputIdx (0 = left, 1 = right for a repartition)
+// and the op's reducer and combiner. Expressions are compiled against
+// first, the task block's first record (null compiles nothing);
+// compilation changes neither results nor UDF cost, so a worker
+// computes exactly what the in-process job computes.
+func DecodeOp(op *wire.OpSpec, inputIdx int, first data.Value) (*TaskFuncs, error) {
+	live := wire.DecodeLive(op.Prune)
+	prune := NewPruner(live)
+	tf := &TaskFuncs{}
+	switch op.Kind {
+	case "scan", "chain":
+		if inputIdx != 0 {
+			return nil, fmt.Errorf("jaql: %s op has no input %d", op.Kind, inputIdx)
+		}
+		src, err := decodeSource(op.Source)
+		if err != nil {
+			return nil, err
+		}
+		if op.Kind == "scan" {
+			tf.Input = scanInput(src, first, prune)
+			break
+		}
+		if len(op.Steps) == 0 {
+			return nil, fmt.Errorf("jaql: chain op has no steps")
+		}
+		plans := make([]probeStep, len(op.Steps))
+		for i, st := range op.Steps {
+			keys, err := wire.DecodePaths(st.Keys)
+			if err != nil {
+				return nil, err
+			}
+			residual, err := wire.DecodeExpr(st.Residual)
+			if err != nil {
+				return nil, err
+			}
+			plans[i] = probeStep{name: st.Build, keys: keys, residual: residual}
+		}
+		tf.Input = chainInput(src, first, plans, prune)
+	case "repartition":
+		side, keyStrs, tag := op.Left, op.LeftKeys, "L"
+		switch inputIdx {
+		case 0:
+		case 1:
+			side, keyStrs, tag = op.Right, op.RightKeys, "R"
+		default:
+			return nil, fmt.Errorf("jaql: repartition op has no input %d", inputIdx)
+		}
+		src, err := decodeSource(side)
+		if err != nil {
+			return nil, err
+		}
+		keys, err := wire.DecodePaths(keyStrs)
+		if err != nil {
+			return nil, err
+		}
+		residual, err := wire.DecodeExpr(op.Residual)
+		if err != nil {
+			return nil, err
+		}
+		tf.Input = shuffleInput(src, first, keys, tag, prune)
+		tf.Reduce = repartitionReduce(residual, prune)
+	case "aggregate":
+		if inputIdx != 0 {
+			return nil, fmt.Errorf("jaql: aggregate op has no input %d", inputIdx)
+		}
+		groupBy, err := wire.DecodeExprs(op.GroupBy)
+		if err != nil {
+			return nil, err
+		}
+		sel, err := wire.DecodeSelect(op.Select)
+		if err != nil {
+			return nil, err
+		}
+		if !first.IsNull() {
+			groupBy = compileExprs(groupBy, first)
+			sel = compileSelect(sel, first)
+		}
+		tf.Input = mapreduce.Input{Map: groupMap(groupBy)}
+		tf.Reduce, tf.Combine = aggregateFuncs(sel, op.Combine)
+	default:
+		return nil, fmt.Errorf("jaql: unknown op kind %q", op.Kind)
+	}
+	return tf, nil
+}
+
+// decodeSource rebuilds a unit input source (minus its file).
+func decodeSource(s *wire.SourceSpec) (Source, error) {
+	if s == nil {
+		return Source{}, fmt.Errorf("jaql: op has no source")
+	}
+	filter, err := wire.DecodeExpr(s.Filter)
+	if err != nil {
+		return Source{}, err
+	}
+	return Source{Wrap: s.Wrap, Filter: filter}, nil
 }

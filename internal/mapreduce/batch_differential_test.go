@@ -267,37 +267,46 @@ func TestBatchMapMatchesMapPerBlock(t *testing.T) {
 					Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{data.MustParsePath("k")}}}}},
 			}
 			for _, c := range cases {
-				c.spec.Name, c.spec.Output = "per-block-"+c.name, "per-block-"+c.name
-				j, err := NewJob(env, c.spec)
-				if err != nil {
-					t.Fatal(err)
-				}
 				builds := map[string]*HashTable{}
 				for _, b := range c.spec.Broadcasts {
-					if builds[b.Name], err = buildHashTable(env, b); err != nil {
+					ht, _, err := BuildHashTable(nil, b, b.File.Blocks())
+					if err != nil {
 						t.Fatal(err)
 					}
+					builds[b.Name] = ht
 				}
-				in := c.spec.Inputs[0]
+				batchTask := MapTask{Input: c.spec.Inputs[0], Builds: builds, NumReducers: c.spec.NumReducers}
+				rowTask := batchTask
+				rowTask.Input.BatchMap = nil
 				for bi, blk := range f.Blocks() {
-					batchSt := &mapTaskState{buckets: make([][]kvPair, j.numReducers)}
-					rowSt := &mapTaskState{buckets: make([][]kvPair, j.numReducers)}
-					if !in.BatchMap(&MapCtx{job: j, task: batchSt, ectx: &expr.Ctx{}, builds: builds}, blk) {
+					// A BatchMap that declines would hide behind the
+					// per-record fallback; require it to take the block.
+					taken := false
+					inner := c.spec.Inputs[0].BatchMap
+					batchTask.Input.BatchMap = func(mc *MapCtx, blk *dfs.Block) bool {
+						taken = inner(mc, blk)
+						return taken
+					}
+					got, err := batchTask.Run(nil, blk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !taken {
 						t.Fatalf("%s block %d: BatchMap declined", c.name, bi)
 					}
-					mc := &MapCtx{job: j, task: rowSt, ectx: &expr.Ctx{}, builds: builds}
-					for _, rec := range blk.Records() {
-						in.Map(mc, rec)
+					want, err := rowTask.Run(nil, blk)
+					if err != nil {
+						t.Fatal(err)
 					}
-					assertSameRecords(t, batchSt.outRows, rowSt.outRows)
-					for p := range rowSt.buckets {
-						got, want := batchSt.buckets[p], rowSt.buckets[p]
+					assertSameRecords(t, got.Rows, want.Rows)
+					for p := range want.Buckets {
+						got, want := got.Buckets[p], want.Buckets[p]
 						if len(got) != len(want) {
 							t.Fatalf("%s block %d partition %d: %d pairs, per-record %d", c.name, bi, p, len(got), len(want))
 						}
 						for i := range want {
-							if !data.Equal(got[i].key, want[i].key) || got[i].nk != want[i].nk ||
-								got[i].tag != want[i].tag || !data.Equal(got[i].rec, want[i].rec) {
+							if !data.Equal(got[i].Key, want[i].Key) || got[i].nk != want[i].nk ||
+								got[i].Tag != want[i].Tag || !data.Equal(got[i].Rec, want[i].Rec) {
 								t.Fatalf("%s block %d partition %d pair %d: %+v, per-record %+v", c.name, bi, p, i, got[i], want[i])
 							}
 						}

@@ -25,32 +25,44 @@ import (
 // Sorting is stable, so records sharing a key keep their gather order
 // (map submission order, then emit order within a task).
 
-// sortPairsByKey stably sorts shuffle pairs into reduce key order.
-func sortPairsByKey(pairs []kvPair) {
-	slices.SortStableFunc(pairs, func(a, b kvPair) int {
+// SortPairs puts reduce input into reduce key order: it normalizes
+// each key that carries no encoding yet (pairs decoded from a frame)
+// and stably sorts the pairs by it. Every reduce, combine and proc
+// worker groups its pairs after this one sort.
+func SortPairs(pairs []Pair) {
+	var buf []byte
+	for i := range pairs {
+		if pairs[i].nk == "" {
+			buf = data.AppendNormKey(buf[:0], pairs[i].Key)
+			pairs[i].nk = string(buf)
+		}
+	}
+	slices.SortStableFunc(pairs, func(a, b Pair) int {
 		return strings.Compare(a.nk, b.nk)
 	})
 }
 
-// groupEnd returns the end of the run of sorted pairs that share
-// pairs[lo]'s key.
-func groupEnd(pairs []kvPair, lo int) int {
-	hi := lo + 1
-	for hi < len(pairs) && pairs[hi].nk == pairs[lo].nk {
-		hi++
+// eachGroup calls fn once per key group of sorted pairs, in order,
+// with the group's first pair and its records. The records are carved
+// out of a pooled slab and are valid only for the duration of the
+// call.
+func eachGroup(pairs []Pair, fn func(first *Pair, group []Tagged)) {
+	slab := getTaggedSlab(len(pairs))
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].nk == pairs[lo].nk {
+			hi++
+		}
+		start := len(slab)
+		for i := lo; i < hi; i++ {
+			slab = append(slab, Tagged{Tag: pairs[i].Tag, Rec: pairs[i].Rec})
+		}
+		// Cap the window at its length, so a reducer appending to its
+		// group cannot clobber the slab.
+		fn(&pairs[lo], slab[start:len(slab):len(slab)])
+		lo = hi
 	}
-	return hi
-}
-
-// appendGroup appends one key group's records to slab and returns the
-// grown slab and the group as a window of it whose capacity ends at its
-// length, so a reducer appending to its group cannot clobber the slab.
-func appendGroup(slab []Tagged, group []kvPair) ([]Tagged, []Tagged) {
-	start := len(slab)
-	for i := range group {
-		slab = append(slab, Tagged{Tag: group[i].tag, Rec: group[i].rec})
-	}
-	return slab, slab[start:len(slab):len(slab)]
+	putTaggedSlab(slab)
 }
 
 // Pools recycle the shuffle's large transient buffers across tasks and
@@ -59,19 +71,19 @@ func appendGroup(slab []Tagged, group []kvPair) ([]Tagged, []Tagged) {
 // (every Run closure executes at most once, so no retry can observe a
 // recycled buffer).
 var (
-	kvSlicePool sync.Pool // *[]kvPair
+	kvSlicePool sync.Pool // *[]Pair
 	taggedPool  sync.Pool // *[]Tagged
 	rowPool     sync.Pool // *[]data.Value
 )
 
-func getKVSlice(capacity int) []kvPair {
-	if p, _ := kvSlicePool.Get().(*[]kvPair); p != nil && cap(*p) >= capacity {
+func getKVSlice(capacity int) []Pair {
+	if p, _ := kvSlicePool.Get().(*[]Pair); p != nil && cap(*p) >= capacity {
 		return (*p)[:0]
 	}
-	return make([]kvPair, 0, capacity)
+	return make([]Pair, 0, capacity)
 }
 
-func putKVSlice(s []kvPair) {
+func putKVSlice(s []Pair) {
 	if cap(s) == 0 {
 		return
 	}

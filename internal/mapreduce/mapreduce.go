@@ -102,7 +102,11 @@ type Env struct {
 
 // VirtualSize returns the virtual on-disk size of a record.
 func (e *Env) VirtualSize(rec data.Value) int64 {
-	return int64(float64(rec.EncodedSize()+1) * e.FS.ByteScale())
+	return virtualSize(rec, e.FS.ByteScale())
+}
+
+func virtualSize(rec data.Value, byteScale float64) int64 {
+	return int64(float64(rec.EncodedSize()+1) * byteScale)
 }
 
 // ClusterConfig returns the cluster's sizing parameters. Call sites
@@ -155,8 +159,7 @@ func (e *Env) RunUntil(pred func() bool) error {
 
 // MapCtx is handed to map functions for emitting output.
 type MapCtx struct {
-	job    *Job
-	task   *mapTaskState
+	out    *MapOut
 	ectx   *expr.Ctx
 	builds map[string]*HashTable
 	nkBuf  []byte // scratch for key normalization, reused across emits
@@ -172,7 +175,7 @@ func (mc *MapCtx) Build(name string) *HashTable { return mc.builds[name] }
 
 // Emit writes a record to the job's (map-only) output.
 func (mc *MapCtx) Emit(rec data.Value) {
-	mc.task.outRows = append(mc.task.outRows, rec)
+	mc.out.Rows = append(mc.out.Rows, rec)
 }
 
 // EmitKV routes a record through the shuffle, keyed for the reduce
@@ -193,8 +196,8 @@ func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
 // encoding and hash its data.Hash64, so the pair is indistinguishable
 // from one built by EmitKV.
 func (mc *MapCtx) emitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
-	p := int(hash % uint64(mc.job.numReducers))
-	mc.task.buckets[p] = append(mc.task.buckets[p], kvPair{key: key, nk: nk, tag: tag, rec: rec})
+	p := int(hash % uint64(len(mc.out.Buckets)))
+	mc.out.Buckets[p] = append(mc.out.Buckets[p], Pair{Key: key, nk: nk, Tag: tag, Rec: rec})
 }
 
 // MapFunc processes one input record.
@@ -202,7 +205,7 @@ type MapFunc func(mc *MapCtx, rec data.Value)
 
 // ReduceCtx is handed to reduce functions for emitting output.
 type ReduceCtx struct {
-	task *reduceTaskState
+	rows []data.Value
 	ectx *expr.Ctx
 }
 
@@ -211,7 +214,7 @@ func (rc *ReduceCtx) ExprCtx() *expr.Ctx { return rc.ectx }
 
 // Emit writes a record to the job's output.
 func (rc *ReduceCtx) Emit(rec data.Value) {
-	rc.task.outRows = append(rc.task.outRows, rec)
+	rc.rows = append(rc.rows, rec)
 }
 
 // Tagged is one shuffled record with its input tag (repartition joins
@@ -223,6 +226,17 @@ type Tagged struct {
 
 // ReduceFunc processes all records sharing a key.
 type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Tagged)
+
+// Pair is one shuffled record: its reduce key, the input tag, and the
+// record. Pairs emitted by a map task also carry the key's normalized
+// encoding; pairs decoded from a frame do not, and SortPairs supplies
+// it.
+type Pair struct {
+	Key data.Value
+	Tag string
+	Rec data.Value
+	nk  string // normalized key (data.AppendNormKey); "" = not yet computed
+}
 
 // Input is one mapped input of a job.
 type Input struct {
@@ -264,27 +278,35 @@ type Broadcast struct {
 // with no collision re-checks. Probes return the rows whose key equals
 // the probe key, in build scan order.
 type HashTable struct {
-	nkBuckets  map[string][]data.Value // normalized key -> rows (scan order)
-	rows       int
-	builtBytes int64   // virtual size of the retained (filtered) rows
-	prepBytes  int64   // one-time scan volume to produce the build
-	prepCPU    float64 // one-time UDF cost to produce the build
+	nkBuckets map[string][]data.Value // normalized key -> rows (scan order)
+	rows      int
 }
 
-// buildHashTable indexes a broadcast side, wrapping and filtering as
-// declared.
-func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
+// BuildHashTable indexes a broadcast side from its raw records, given
+// as blocks in scan order: each record is wrapped as {b.Wrap: rec}
+// when Wrap is set, kept when b.Filter holds, and keyed by b.KeyPaths
+// (b.Name and b.File are not read). It also returns the UDF cost of
+// the filter. The in-process job and a proc worker build their tables
+// here, so both probe identical tables.
+func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []*dfs.Block) (*HashTable, float64, error) {
 	ht := &HashTable{nkBuckets: make(map[string][]data.Value)}
-	ectx := &expr.Ctx{Reg: env.Reg}
+	ectx := &expr.Ctx{Reg: reg}
 	filter := b.Filter
+	var first data.Value
+	for _, blk := range blocks {
+		if blk.NumRecords() > 0 {
+			first = blk.Records()[0]
+			break
+		}
+	}
 	// When every filter column is rooted at the wrap alias, evaluate the
 	// filter on the raw record before wrapping (identical semantics, see
 	// expr.StripAlias) so dropped records never allocate the wrap object.
 	var stripped expr.Expr
 	if filter != nil && b.Wrap != "" {
 		if s, ok := expr.StripAlias(filter, b.Wrap); ok {
-			if rec, okr := b.File.FirstRecord(); okr {
-				s = expr.Compile(s, rec)
+			if !first.IsNull() {
+				s = expr.Compile(s, first)
 			}
 			stripped = s
 			filter = nil
@@ -292,7 +314,7 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 	}
 	var keyAccs []*data.Accessor
 	var nkBuf []byte
-	for _, blk := range b.File.Blocks() {
+	for _, blk := range blocks {
 		for _, rec := range blk.Records() {
 			if stripped != nil && !stripped.Eval(ectx, rec).Truthy() {
 				continue
@@ -314,19 +336,25 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 				continue
 			}
 			ht.rows++
-			ht.builtBytes += env.VirtualSize(row)
-			nkBuf = data.AppendNormKey(nkBuf[:0], CompositeKeyCompiled(row, keyAccs))
+			nkBuf = data.AppendNormKey(nkBuf[:0], CompositeKey(row, keyAccs))
 			ht.nkBuckets[string(nkBuf)] = append(ht.nkBuckets[string(nkBuf)], row)
 		}
 	}
 	if ectx.Err != nil {
-		return nil, ectx.Err
+		return nil, 0, ectx.Err
 	}
-	if b.Filter != nil {
-		ht.prepBytes = b.File.Size()
-		ht.prepCPU = ectx.CPUSeconds
+	return ht, ectx.CPUSeconds, nil
+}
+
+// virtualSize returns the summed virtual size of the table's rows.
+func (h *HashTable) virtualSize(env *Env) int64 {
+	var n int64
+	for _, rows := range h.nkBuckets {
+		for _, row := range rows {
+			n += env.VirtualSize(row)
+		}
 	}
-	return ht, nil
+	return n
 }
 
 // Probe returns the build rows whose key equals k, in build scan order.
@@ -343,23 +371,11 @@ func (h *HashTable) Probe(k data.Value) []data.Value {
 // probe arm uses this with pre-computed (interned) key encodings.
 func (h *HashTable) ProbeNK(nk string) []data.Value { return h.nkBuckets[nk] }
 
-// CompositeKey evaluates the key columns over a row. A single path
-// yields the bare value; multiple paths yield an array, so single- and
-// multi-column join keys hash consistently on both sides.
-func CompositeKey(row data.Value, paths []data.Path) data.Value {
-	if len(paths) == 1 {
-		return paths[0].Eval(row)
-	}
-	vals := make([]data.Value, len(paths))
-	for i, p := range paths {
-		vals[i] = p.Eval(row)
-	}
-	return data.Array(vals...)
-}
-
-// CompositeKeyCompiled is CompositeKey through compiled accessors; the
-// accessors must have been compiled from the same paths, in order.
-func CompositeKeyCompiled(row data.Value, accs []*data.Accessor) data.Value {
+// CompositeKey evaluates the key columns, as compiled accessors, over a
+// row. A single column yields the bare value; multiple columns yield an
+// array, so single- and multi-column join keys hash consistently on
+// both sides.
+func CompositeKey(row data.Value, accs []*data.Accessor) data.Value {
 	if len(accs) == 1 {
 		return accs[0].Eval(row)
 	}
@@ -408,19 +424,11 @@ type Spec struct {
 	// disables.
 	FinishIfFractionDone float64
 
-	// RemoteOp is the serialized operator (*wire.OpSpec) a task
-	// executor interprets in place of the Go closures above. Required
-	// when the environment has Env.Exec set; ignored otherwise. The
-	// closures stay authoritative for the in-process path and must
-	// describe the identical transformation.
+	// RemoteOp is the serialized operator (*wire.OpSpec) from which a
+	// task executor rebuilds the Go closures above on its workers.
+	// Required when the environment has Env.Exec set; ignored
+	// otherwise. It must describe the identical transformation.
 	RemoteOp any
-}
-
-type kvPair struct {
-	key data.Value
-	nk  string // normalized key (data.AppendNormKey)
-	tag string
-	rec data.Value
 }
 
 type mapTaskState struct {
@@ -428,10 +436,11 @@ type mapTaskState struct {
 	splitIdx int
 	seq      int // submission order, for deterministic output assembly
 	outRows  []data.Value
-	buckets  [][]kvPair
-	// shuffle, when non-nil, is the executor's handle to this task's
-	// output retained away from the controller; shuffleParts carries
-	// the per-partition digests that stand in for buckets.
+	// buckets is the in-process path's partitioned shuffle output;
+	// shuffle, when non-nil, is the executor's handle to the same output
+	// retained away from the controller, and shuffleParts its digests.
+	// Accounting reads either through part.
+	buckets      [][]Pair
 	shuffle      any
 	shuffleParts []ShufflePart
 	collector    *stats.Collector
@@ -546,23 +555,23 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// the one-time filtered-build preparation on the first task.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
-		ht, err := buildHashTable(j.env, b)
+		ht, cpu, err := BuildHashTable(j.env.Reg, b, b.File.Blocks())
 		if err != nil {
 			j.buildErr = err
 			break
 		}
 		j.builds[b.Name] = ht
-		j.buildBytes += ht.builtBytes
+		j.buildBytes += ht.virtualSize(j.env)
 		// Producing a filtered build is a parallel map-only stage of
 		// its own: one extra job startup plus a cluster-wide scan of
 		// the unfiltered input.
-		if ht.prepBytes > 0 {
+		if prepBytes := b.File.Size(); b.Filter != nil && prepBytes > 0 {
 			slots := float64(j.env.ClusterConfig().MapSlots())
 			if slots < 1 {
 				slots = 1
 			}
 			j.prepLatency += j.env.ClusterConfig().JobStartup +
-				float64(ht.prepBytes)/(scanBps(j.env)*slots) + ht.prepCPU/slots
+				float64(prepBytes)/(scanBps(j.env)*slots) + cpu/slots
 		}
 	}
 	var tasks []*cluster.Task
@@ -597,9 +606,6 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	st := &mapTaskState{inputIdx: inputIdx, splitIdx: splitIdx, seq: j.seq}
 	j.seq++
-	if j.spec.Reduce != nil {
-		st.buckets = make([][]kvPair, j.numReducers)
-	}
 	if j.spec.CollectStats != nil {
 		st.collector = stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
 	}
@@ -638,6 +644,98 @@ func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	return t
 }
 
+// MapTask is one map task's record loop, independent of the job that
+// schedules it: the in-process path runs it for every task, and a proc
+// worker runs it for each task it is sent, so both backends compute
+// the same rows and charge the same UDF cost.
+type MapTask struct {
+	// Input supplies Map and BatchMap; its File and Splits are not read.
+	Input  Input
+	Builds map[string]*HashTable
+	// NumReducers partitions shuffle output by
+	// data.Hash64(key) % NumReducers; 0 means a map-only job.
+	NumReducers int
+	// Combine, when set, folds each partition through the map-side
+	// combiner before the output leaves the task.
+	Combine ReduceFunc
+}
+
+// MapOut is one map task's output.
+type MapOut struct {
+	Rows []data.Value // map-only jobs, in emit order
+	// Buckets holds a shuffle job's pairs, one slice per partition, in
+	// emit order (key order, one pair per group output, when combined).
+	Buckets  [][]Pair
+	CPUMap   float64 // UDF cost of the map phase
+	CPUTotal float64 // CPUMap plus the combiner's cost
+}
+
+// Run processes one block: the BatchMap when it takes the block, the
+// per-record Map otherwise, then the combiner.
+func (t MapTask) Run(reg *expr.Registry, blk *dfs.Block) (*MapOut, error) {
+	out := &MapOut{}
+	// Size output buffers from the split: most maps emit at most one
+	// row per input record, so this avoids the append growth ladder in
+	// the shuffle hot path.
+	n := blk.NumRecords()
+	if t.NumReducers > 0 {
+		out.Buckets = make([][]Pair, t.NumReducers)
+		if n > 0 {
+			for p := range out.Buckets {
+				out.Buckets[p] = getKVSlice(n/t.NumReducers + 1)
+			}
+		}
+	} else if n > 0 {
+		out.Rows = getRowSlice(n)
+	}
+	ectx := &expr.Ctx{Reg: reg}
+	mc := &MapCtx{out: out, ectx: ectx, builds: t.Builds}
+	if t.Input.BatchMap == nil || !t.Input.BatchMap(mc, blk) {
+		for _, rec := range blk.Records() {
+			t.Input.Map(mc, rec)
+		}
+	}
+	out.CPUMap = ectx.CPUSeconds
+	if ectx.Err == nil && t.Combine != nil {
+		for p, bucket := range out.Buckets {
+			if len(bucket) > 0 {
+				out.Buckets[p] = combine(ectx, t.Combine, bucket)
+			}
+		}
+	}
+	out.CPUTotal = ectx.CPUSeconds
+	return out, ectx.Err
+}
+
+// combine folds one partition's pairs per key through the combiner
+// and recycles the input slice.
+func combine(ectx *expr.Ctx, fn ReduceFunc, bucket []Pair) []Pair {
+	SortPairs(bucket)
+	rc := &ReduceCtx{ectx: ectx}
+	var combined []Pair
+	eachGroup(bucket, func(first *Pair, group []Tagged) {
+		rc.rows = rc.rows[:0]
+		fn(rc, first.Key, group)
+		for _, rec := range rc.rows {
+			combined = append(combined, Pair{Key: first.Key, nk: first.nk, Rec: rec})
+		}
+	})
+	putKVSlice(bucket)
+	return combined
+}
+
+// Reduce runs fn once per key group of pairs, which must be in reduce
+// key order (see SortPairs), and returns the emitted rows and their UDF
+// cost. The in-process reduce task and a proc worker's both run here.
+func Reduce(reg *expr.Registry, fn ReduceFunc, pairs []Pair) ([]data.Value, float64, error) {
+	ectx := &expr.Ctx{Reg: reg}
+	rc := &ReduceCtx{rows: getRowSlice(0), ectx: ectx}
+	eachGroup(pairs, func(first *Pair, group []Tagged) {
+		fn(rc, first.Key, group)
+	})
+	return rc.rows, ectx.CPUSeconds, ectx.Err
+}
+
 func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (cluster.Usage, error) {
 	var u cluster.Usage
 	if j.buildErr != nil {
@@ -656,69 +754,44 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	}
 	block := input.File.Block(st.splitIdx)
 	u.BytesRead += input.File.BlockSizeBytes(st.splitIdx)
+	var out *MapExecOut
+	var err error
 	if j.env.Exec != nil {
-		return j.runMapRemote(st, input, u)
-	}
-	// Size output buffers from the split: most maps emit at most one
-	// row per input record, so this avoids the append growth ladder in
-	// the shuffle hot path.
-	if n := block.NumRecords(); n > 0 {
-		if j.spec.Reduce == nil {
-			if st.outRows == nil {
-				st.outRows = getRowSlice(n)
-			}
-		} else {
-			per := n/j.numReducers + 1
-			for p := range st.buckets {
-				if st.buckets[p] == nil {
-					st.buckets[p] = getKVSlice(per)
-				}
-			}
-		}
-	}
-	ectx := &expr.Ctx{Reg: j.env.Reg}
-	mc := &MapCtx{job: j, task: st, ectx: ectx, builds: j.builds}
-	if input.BatchMap != nil && input.BatchMap(mc, block) {
-		if st.collector != nil {
-			st.collector.ObserveInputs(block.NumRecords())
-		}
+		out, err = j.runMapRemote(st, input)
 	} else {
-		for _, rec := range block.Records() {
-			if st.collector != nil {
-				st.collector.ObserveInput()
-			}
-			input.Map(mc, rec)
-		}
+		out, err = j.runMapLocal(st, input, block)
 	}
-	u.Records += int64(block.NumRecords())
-	u.CPUSeconds += ectx.CPUSeconds
-	if ectx.Err != nil {
-		return u, ectx.Err
+	if err != nil {
+		return u, err
 	}
-	// Map-side combining before the shuffle.
+	st.outRows = out.Rows
+	st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
+	// Charge input, UDF cost and output volume, and update the shared
+	// output counter. A combining task charges the map-phase cost and
+	// then the accumulated map+combine total again.
+	n := block.NumRecords()
+	if st.collector != nil {
+		st.collector.ObserveInputs(n)
+	}
+	u.Records += int64(n)
+	u.CPUSeconds += out.CPUMap
 	if j.spec.Combine != nil && j.spec.Reduce != nil {
-		if cerr := j.combineBuckets(st, ectx); cerr != nil {
-			return u, cerr
-		}
-		u.CPUSeconds += ectx.CPUSeconds
+		u.CPUSeconds += out.CPUTotal
 	}
-	// Charge output volume and update the shared output counter.
-	var emitted int64
-	if j.spec.Reduce == nil {
-		for _, rec := range st.outRows {
-			sz := j.env.VirtualSize(rec)
-			u.BytesWritten += sz
-			if st.collector != nil {
-				st.collector.ObserveOutput(rec, sz)
-			}
+	for _, rec := range st.outRows {
+		sz := j.env.VirtualSize(rec)
+		u.BytesWritten += sz
+		if st.collector != nil {
+			st.collector.ObserveOutput(rec, sz)
 		}
-		emitted = int64(len(st.outRows))
-	} else {
-		for _, bucket := range st.buckets {
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-			emitted += int64(len(bucket))
+	}
+	emitted := int64(len(st.outRows))
+	if j.spec.Reduce != nil {
+		scale := j.env.FS.ByteScale()
+		for p := 0; p < j.numReducers; p++ {
+			part := st.part(p, scale)
+			u.BytesShuffled += part.Bytes
+			emitted += int64(part.Count)
 		}
 	}
 	if emitted > 0 {
@@ -727,36 +800,45 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	return u, nil
 }
 
-// combineBuckets folds each map bucket's rows per key through the
-// combiner. Groups handed to the combiner are valid only for the
-// duration of the call (they are carved out of a pooled slab);
-// combiners must copy anything they keep, as all in-repo combiners do.
-func (j *Job) combineBuckets(st *mapTaskState, ectx *expr.Ctx) error {
-	for p, bucket := range st.buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		sortPairsByKey(bucket)
-		cst := &reduceTaskState{partition: p}
-		rc := &ReduceCtx{task: cst, ectx: ectx}
-		var combined []kvPair
-		slab := getTaggedSlab(len(bucket))
-		for lo := 0; lo < len(bucket); {
-			hi := groupEnd(bucket, lo)
-			var group []Tagged
-			slab, group = appendGroup(slab, bucket[lo:hi])
-			cst.outRows = cst.outRows[:0]
-			j.spec.Combine(rc, bucket[lo].key, group)
-			for _, rec := range cst.outRows {
-				combined = append(combined, kvPair{key: bucket[lo].key, nk: bucket[lo].nk, rec: rec})
-			}
-			lo = hi
-		}
-		putTaggedSlab(slab)
-		putKVSlice(bucket)
-		st.buckets[p] = combined
+// runMapLocal runs the map task body in-process and digests its
+// shuffle buckets the way an executor does.
+func (j *Job) runMapLocal(st *mapTaskState, input Input, block *dfs.Block) (*MapExecOut, error) {
+	task := MapTask{Input: input, Builds: j.builds}
+	if j.spec.Reduce != nil {
+		task.NumReducers = j.numReducers
+		task.Combine = j.spec.Combine
 	}
-	return ectx.Err
+	out, err := task.Run(j.env.Reg, block)
+	if err != nil {
+		return nil, err
+	}
+	st.buckets = out.Buckets
+	return &MapExecOut{Rows: out.Rows, CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}, nil
+}
+
+// part digests the task's shuffle output for one reduce partition:
+// the executor's digest when the output is retained away from the
+// controller, otherwise the in-process bucket's.
+func (st *mapTaskState) part(p int, byteScale float64) ShufflePart {
+	if st.shuffle != nil {
+		return st.shuffleParts[p]
+	}
+	if p < len(st.buckets) {
+		return Digest(st.buckets[p], byteScale)
+	}
+	return ShufflePart{}
+}
+
+// Digest summarizes one partition of a map task's shuffle output: the
+// pair count and the records' summed virtual size at byteScale. An
+// executor digests the buckets it retains with the same function, so
+// both backends account identical shuffle bytes.
+func Digest(pairs []Pair, byteScale float64) ShufflePart {
+	d := ShufflePart{Count: len(pairs)}
+	for i := range pairs {
+		d.Bytes += virtualSize(pairs[i].Rec, byteScale)
+	}
+	return d
 }
 
 // TaskDone implements cluster.Job.
@@ -847,52 +929,29 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 }
 
 func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, error) {
-	if j.env.Exec != nil {
-		return j.runReduceRemote(st, partition)
-	}
 	var u cluster.Usage
-	// Gather this partition's pairs from all map tasks in submission
-	// order, then sort by key for grouping.
-	total := 0
+	// The partition's shuffle volume and record count come from the map
+	// tasks' digests, whichever backend holds the pairs.
+	var count int64
+	scale := j.env.FS.ByteScale()
 	for _, ms := range j.mapStates {
-		if partition < len(ms.buckets) {
-			total += len(ms.buckets[partition])
-		}
+		part := ms.part(partition, scale)
+		u.BytesShuffled += part.Bytes
+		count += int64(part.Count)
 	}
-	pairs := getKVSlice(total)
-	for _, ms := range j.mapStates {
-		if partition < len(ms.buckets) {
-			bucket := ms.buckets[partition]
-			pairs = append(pairs, bucket...)
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-		}
+	var out *ReduceExecOut
+	var err error
+	if j.env.Exec != nil {
+		out, err = j.runReduceRemote(partition)
+	} else {
+		out, err = j.runReduceLocal(partition, count)
 	}
-	sortPairsByKey(pairs)
-	if st.outRows == nil {
-		st.outRows = getRowSlice(0)
+	if err != nil {
+		return u, err
 	}
-	ectx := &expr.Ctx{Reg: j.env.Reg}
-	rc := &ReduceCtx{task: st, ectx: ectx}
-	// Groups handed to the reducer are valid only for the duration of
-	// the call (they are carved out of a pooled slab); reducers must
-	// copy anything they keep, as all in-repo reducers do.
-	slab := getTaggedSlab(total)
-	for lo := 0; lo < len(pairs); {
-		hi := groupEnd(pairs, lo)
-		var group []Tagged
-		slab, group = appendGroup(slab, pairs[lo:hi])
-		j.spec.Reduce(rc, pairs[lo].key, group)
-		lo = hi
-	}
-	u.Records += int64(len(pairs))
-	u.CPUSeconds += ectx.CPUSeconds
-	putTaggedSlab(slab)
-	putKVSlice(pairs)
-	if ectx.Err != nil {
-		return u, ectx.Err
-	}
+	st.outRows = out.Rows
+	u.Records += count
+	u.CPUSeconds += out.CPUSeconds
 	for _, rec := range st.outRows {
 		sz := j.env.VirtualSize(rec)
 		u.BytesWritten += sz
@@ -901,6 +960,27 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		}
 	}
 	return u, nil
+}
+
+// runReduceLocal gathers the partition's pairs from all map tasks in
+// submission order, sorts them by key and runs the reduce task body.
+// Groups handed to the reducer are valid only for the duration of the
+// call (they are carved out of a pooled slab); reducers must copy
+// anything they keep, as all in-repo reducers do.
+func (j *Job) runReduceLocal(partition int, count int64) (*ReduceExecOut, error) {
+	pairs := getKVSlice(int(count))
+	for _, ms := range j.mapStates {
+		if partition < len(ms.buckets) {
+			pairs = append(pairs, ms.buckets[partition]...)
+		}
+	}
+	SortPairs(pairs)
+	rows, cpu, err := Reduce(j.env.Reg, j.spec.Reduce, pairs)
+	putKVSlice(pairs)
+	if err != nil {
+		return nil, err
+	}
+	return &ReduceExecOut{Rows: rows, CPUSeconds: cpu}, nil
 }
 
 // finish assembles the output file and merged statistics.

@@ -504,7 +504,7 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 		)}))
 	}
 	f := w.Close()
-	ht, err := buildHashTable(env, Broadcast{Name: "s", File: f, KeyPaths: []data.Path{data.MustParsePath("s.k")}})
+	ht, _, err := BuildHashTable(env.Reg, Broadcast{Name: "s", File: f, KeyPaths: []data.Path{data.MustParsePath("s.k")}}, f.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,8 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	for _, k := range big {
 		w.Append(data.Object(data.Field{Name: "k", Value: k}))
 	}
-	ht, err = buildHashTable(env, Broadcast{Name: "h", File: w.Close(), KeyPaths: []data.Path{data.MustParsePath("k")}})
+	f = w.Close()
+	ht, _, err = BuildHashTable(env.Reg, Broadcast{Name: "h", File: f, KeyPaths: []data.Path{data.MustParsePath("k")}}, f.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,6 +539,26 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	}
 	if got := ht.Probe(data.Double(1 << 53)); len(got) != 2 {
 		t.Errorf("probe(2.0^53) = %v, want the int and double 2^53 rows", got)
+	}
+
+	// Duplicate keys come back in build scan order, across blocks, from
+	// raw records wrapped by the build.
+	raw := []data.Value{
+		data.Object(data.Field{Name: "k", Value: data.Int(1)}, data.Field{Name: "v", Value: data.String("a")}),
+		data.Object(data.Field{Name: "k", Value: data.Int(2)}, data.Field{Name: "v", Value: data.String("b")}),
+		data.Object(data.Field{Name: "k", Value: data.Int(1)}, data.Field{Name: "v", Value: data.String("c")}),
+	}
+	blocks := []*dfs.Block{dfs.NewBlock(raw[:2]), dfs.NewBlock(raw[2:])}
+	ht, _, err = BuildHashTable(nil, Broadcast{Wrap: "t", KeyPaths: []data.Path{data.MustParsePath("t.k")}}, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ht.Probe(data.Int(1))
+	if len(got) != 2 || got[0].FieldOr("t").FieldOr("v").Str() != "a" || got[1].FieldOr("t").FieldOr("v").Str() != "c" {
+		t.Errorf("probe(1) = %v, want the a and c rows in scan order", got)
+	}
+	if got := ht.Probe(data.Int(3)); got != nil {
+		t.Errorf("probe(3) = %v, want nil", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 
-	"dyno/internal/cluster"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 )
@@ -109,14 +108,15 @@ func (j *Job) errNoRemoteOp() error {
 	return fmt.Errorf("mapreduce: job %s has no remote op for the task executor", j.spec.Name)
 }
 
-// runMapRemote delegates the record loop of one map task to the
-// executor and replays its outputs through the exact accounting the
-// local path performs (input stats, CPU accrual including the
-// combiner's double-add, output volume, shared counter).
-func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (cluster.Usage, error) {
+// runMapRemote delegates one map task to the executor. Its output
+// goes through the same accounting as the in-process task body's
+// (runMap); a shuffle job's pairs stay with the executor, and the
+// handle and per-partition digests stand in for them.
+func (j *Job) runMapRemote(st *mapTaskState, input Input) (*MapExecOut, error) {
 	if j.spec.RemoteOp == nil {
-		return u, j.errNoRemoteOp()
+		return nil, j.errNoRemoteOp()
 	}
+	hasReduce := j.spec.Reduce != nil
 	out, err := j.env.Exec.ExecMap(MapExec{
 		JobName:     j.spec.Name,
 		TaskName:    fmt.Sprintf("%s-m%d", j.spec.Name, st.seq),
@@ -124,105 +124,46 @@ func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (clus
 		Split:       st.splitIdx,
 		InputIdx:    st.inputIdx,
 		NumReducers: j.numReducers,
-		HasReduce:   j.spec.Reduce != nil,
-		RunCombine:  j.spec.Combine != nil && j.spec.Reduce != nil,
+		HasReduce:   hasReduce,
+		RunCombine:  j.spec.Combine != nil && hasReduce,
 		Broadcasts:  j.spec.Broadcasts,
 		Op:          j.spec.RemoteOp,
 	})
 	if err != nil {
-		return u, err
+		return nil, err
 	}
-	n := input.File.Block(st.splitIdx).NumRecords()
-	if st.collector != nil {
-		st.collector.ObserveInputs(n)
+	if !hasReduce {
+		return out, nil
 	}
-	if j.spec.Reduce == nil {
-		st.outRows = append(st.outRows, out.Rows...)
-	} else {
-		// The map output was retained on the producing worker; hold the
-		// handle and replay the shuffle accounting from the digests.
-		if out.Shuffle == nil {
-			return u, fmt.Errorf("mapreduce: executor returned no shuffle handle for %s", j.spec.Name)
-		}
-		if len(out.ShuffleParts) != j.numReducers {
-			return u, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d",
-				len(out.ShuffleParts), j.spec.Name, j.numReducers)
-		}
-		st.shuffle = out.Shuffle
-		st.shuffleParts = out.ShuffleParts
+	if out.Shuffle == nil {
+		return nil, fmt.Errorf("mapreduce: executor returned no shuffle handle for %s", j.spec.Name)
 	}
-	u.Records += int64(n)
-	u.CPUSeconds += out.CPUMap
-	if j.spec.Combine != nil && j.spec.Reduce != nil {
-		// The local path charges the map-phase CPU once and then the
-		// accumulated map+combine total again after combining; replay
-		// the same double-add so virtual timelines agree.
-		u.CPUSeconds += out.CPUTotal
+	if len(out.ShuffleParts) != j.numReducers {
+		return nil, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d",
+			len(out.ShuffleParts), j.spec.Name, j.numReducers)
 	}
-	var emitted int64
-	if j.spec.Reduce == nil {
-		for _, rec := range st.outRows {
-			sz := j.env.VirtualSize(rec)
-			u.BytesWritten += sz
-			if st.collector != nil {
-				st.collector.ObserveOutput(rec, sz)
-			}
-		}
-		emitted = int64(len(st.outRows))
-	} else {
-		for _, part := range st.shuffleParts {
-			u.BytesShuffled += part.Bytes
-			emitted += int64(part.Count)
-		}
-	}
-	if emitted > 0 {
-		j.env.Coord.Add(j.counterName, emitted)
-	}
-	return u, nil
+	return out, nil
 }
 
 // runReduceRemote ships the partition's ordered segment list — one
-// retained map output per map task, in submission order — replays the
-// shuffle accounting from the retained digests, delegates the group
-// loop to the executor, and replays the output accounting. The
-// executor's stable sort of the concatenated segments reproduces the
-// local path's gather-then-sort order exactly, so rows and virtual
-// timelines match the in-process run byte for byte.
-func (j *Job) runReduceRemote(st *reduceTaskState, partition int) (cluster.Usage, error) {
-	var u cluster.Usage
+// retained map output per map task, in submission order — to the
+// executor, which sorts the concatenation exactly as runReduceLocal
+// does, so rows and virtual timelines match the in-process run.
+func (j *Job) runReduceRemote(partition int) (*ReduceExecOut, error) {
 	if j.spec.RemoteOp == nil {
-		return u, j.errNoRemoteOp()
+		return nil, j.errNoRemoteOp()
 	}
 	var inputs []ShuffleInput
-	var count int64
 	for _, ms := range j.mapStates {
-		if ms.shuffle == nil || partition >= len(ms.shuffleParts) {
-			continue
+		if ms.shuffle != nil && partition < len(ms.shuffleParts) {
+			inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
 		}
-		part := ms.shuffleParts[partition]
-		u.BytesShuffled += part.Bytes
-		count += int64(part.Count)
-		inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
 	}
-	out, err := j.env.Exec.ExecReduce(ReduceExec{
+	return j.env.Exec.ExecReduce(ReduceExec{
 		JobName:   j.spec.Name,
 		TaskName:  fmt.Sprintf("%s-r%d", j.spec.Name, partition),
 		Partition: partition,
 		Inputs:    inputs,
 		Op:        j.spec.RemoteOp,
 	})
-	if err != nil {
-		return u, err
-	}
-	st.outRows = append(st.outRows, out.Rows...)
-	u.Records += count
-	u.CPUSeconds += out.CPUSeconds
-	for _, rec := range st.outRows {
-		sz := j.env.VirtualSize(rec)
-		u.BytesWritten += sz
-		if st.collector != nil {
-			st.collector.ObserveOutput(rec, sz)
-		}
-	}
-	return u, nil
 }

@@ -283,10 +283,11 @@ func TestBroadcastJoinFastVsLegacyIdentical(t *testing.T) {
 	}
 }
 
-// TestSortPairsByKeyMatchesCompareOrder asserts sortPairsByKey yields
-// the permutation a stable sort by data.Compare yields on the same
-// batch — including among equal keys, by stability — over keys that
-// mix kinds and numeric edge cases.
+// TestSortPairsByKeyMatchesCompareOrder asserts SortPairs yields the
+// permutation a stable sort by data.Compare yields on the same batch —
+// including among equal keys, by stability — over keys that mix kinds
+// and numeric edge cases. Every other pair arrives without its
+// normalized key, as pairs decoded from a shuffle frame do.
 func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	edge := []data.Value{
@@ -313,19 +314,23 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 		}
 	}
 	const n = 2000
-	pairs := make([]kvPair, 0, n)
+	pairs := make([]Pair, 0, n)
 	for i := 0; i < n; i++ {
 		key := mkKey()
 		rec := data.Object(data.Field{Name: "seq", Value: data.Int(int64(i))})
-		pairs = append(pairs, kvPair{key: key, nk: data.NormKey(key), tag: "T", rec: rec})
+		p := Pair{Key: key, Tag: "T", Rec: rec}
+		if i%2 == 0 {
+			p.nk = data.NormKey(key)
+		}
+		pairs = append(pairs, p)
 	}
 	want := slices.Clone(pairs)
-	slices.SortStableFunc(want, func(a, b kvPair) int { return data.Compare(a.key, b.key) })
-	sortPairsByKey(pairs)
+	slices.SortStableFunc(want, func(a, b Pair) int { return data.Compare(a.Key, b.Key) })
+	SortPairs(pairs)
 	for i := range pairs {
-		if !data.Equal(pairs[i].rec, want[i].rec) {
+		if !data.Equal(pairs[i].Rec, want[i].Rec) {
 			t.Fatalf("permutation diverged at %d: key %v rec %v, reference key %v rec %v",
-				i, pairs[i].key, pairs[i].rec, want[i].key, want[i].rec)
+				i, pairs[i].Key, pairs[i].Rec, want[i].Key, want[i].Rec)
 		}
 	}
 }
@@ -335,16 +340,16 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 func BenchmarkSortPairsByKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 4096
-	base := make([]kvPair, n)
+	base := make([]Pair, n)
 	for i := range base {
 		key := data.Int(int64(rng.Intn(1 << 20)))
-		base[i] = kvPair{key: key, nk: data.NormKey(key), tag: "T"}
+		base[i] = Pair{Key: key, nk: data.NormKey(key), Tag: "T"}
 	}
-	scratch := make([]kvPair, n)
+	scratch := make([]Pair, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, base)
-		sortPairsByKey(scratch)
+		SortPairs(scratch)
 	}
 }

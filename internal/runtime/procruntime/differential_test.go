@@ -37,6 +37,7 @@ type queryOutcome struct {
 }
 
 type engineTweaks struct {
+	variant     baselines.Variant // "" = DYNOPT
 	pushdown    bool
 	dynamicJoin bool
 	combiner    bool
@@ -102,7 +103,11 @@ func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks
 	opts.ProjectionPushdown = tw.pushdown
 	opts.DynamicJoin = tw.dynamicJoin
 	ccfg := env.ClusterConfig()
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat,
+	variant := tw.variant
+	if variant == "" {
+		variant = baselines.VariantDynOpt
+	}
+	eng, err := baselines.NewEngine(variant, env, cat,
 		optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
 	if err != nil {
 		return queryOutcome{}, err
@@ -174,9 +179,11 @@ func diffOutcomes(t *testing.T, query string, sim, proc queryOutcome) {
 	}
 }
 
-// TestDifferentialTPCH runs the full evaluation suite on the sim and
-// on the proc backend (two workers) and requires byte-identical
-// outcomes: same rows, job counts, and virtual timelines.
+// TestDifferentialTPCH runs the full evaluation suite under every
+// variant on the sim and on the proc backend (two workers) and
+// requires byte-identical outcomes: same rows, job counts, and virtual
+// timelines. BESTSTATIC and RELOPT reach the multi-step broadcast
+// chains and repartitions DYNOPT's plans may not.
 func TestDifferentialTPCH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite executes every TPC-H query on both backends")
@@ -184,10 +191,15 @@ func TestDifferentialTPCH(t *testing.T) {
 	for _, query := range tpch.QueryNames {
 		query := query
 		t.Run(query, func(t *testing.T) {
-			ccfg := cluster.DefaultConfig()
-			sim := runQuery(t, simruntime.New(ccfg), query, engineTweaks{})
-			proc := runQuery(t, newProcRuntime(t, 2, ccfg), query, engineTweaks{})
-			diffOutcomes(t, query, sim, proc)
+			for _, v := range baselines.Variants {
+				t.Run(string(v), func(t *testing.T) {
+					ccfg := cluster.DefaultConfig()
+					tw := engineTweaks{variant: v}
+					sim := runQuery(t, simruntime.New(ccfg), query, tw)
+					proc := runQuery(t, newProcRuntime(t, 2, ccfg), query, tw)
+					diffOutcomes(t, query, sim, proc)
+				})
+			}
 		})
 	}
 }

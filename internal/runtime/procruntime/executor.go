@@ -137,10 +137,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		task:  &stripped,
 		parts: res.Parts,
 	}
-	out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
-	for i, p := range res.Parts {
-		out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
-	}
+	out.ShuffleParts = res.Parts
 	return out, nil
 }
 

@@ -3,8 +3,9 @@
 // dynoworker processes. Workers register with the controller and
 // heartbeat over a small JSON control plane; every map/reduce task
 // body travels to a worker in a wave-batched binary frame, the worker
-// executes the job's serialized operator against DFS blocks mirrored
-// to local disk as binary block frames, and shuffle data moves
+// rebuilds the job's operators from their serialized form and runs
+// them through mapreduce's task bodies against DFS blocks mirrored to
+// local disk as binary block frames, and shuffle data moves
 // worker-to-worker without passing through the controller. The
 // discrete-event simulator keeps running controller-side as the
 // scheduler and virtual-time accountant, so plans, rows, and job

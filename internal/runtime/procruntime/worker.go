@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/expr"
+	"dyno/internal/jaql"
+	"dyno/internal/mapreduce"
 	"dyno/internal/runtime/wire"
 )
 
@@ -76,7 +79,7 @@ type WorkerStatus struct {
 }
 
 type blockEntry struct {
-	recs  []data.Value
+	blk   *dfs.Block
 	bytes int64 // on-disk size, the cache accounting unit
 }
 
@@ -100,7 +103,7 @@ type Worker struct {
 	blocks      map[string]blockEntry
 	blockOrder  []string
 	blockBytes  int64
-	tables      map[string]*wire.Table
+	tables      map[string]*mapreduce.HashTable
 	tableOrder  []string
 	shuffles    map[string]*shuffleEntry
 	shufOrder   []string
@@ -135,7 +138,7 @@ func NewWorkerCfg(reg *expr.Registry, cfg WorkerConfig) *Worker {
 		cfg:      cfg.withDefaults(),
 		peers:    &http.Client{Timeout: 30 * time.Second},
 		blocks:   map[string]blockEntry{},
-		tables:   map[string]*wire.Table{},
+		tables:   map[string]*mapreduce.HashTable{},
 		shuffles: map[string]*shuffleEntry{},
 	}
 }
@@ -292,20 +295,49 @@ func (w *Worker) runTask(task *wire.Task) *wire.TaskResult {
 	}
 }
 
+// runMap runs one map task through the engine's own operator code:
+// the op decodes into the builders the in-process job uses, and
+// mapreduce's map task body runs them over the cached block.
 func (w *Worker) runMap(task *wire.Task) *wire.TaskResult {
-	recs, err := w.blockRecords(task.Block)
+	blk, err := w.block(task.Block)
 	if err != nil {
 		return &wire.TaskResult{Err: err.Error()}
 	}
-	builds := map[string]*wire.Table{}
+	mt := mapreduce.MapTask{Builds: map[string]*mapreduce.HashTable{}}
 	for _, ref := range task.Builds {
 		t, err := w.table(ref)
 		if err != nil {
 			return &wire.TaskResult{Err: err.Error()}
 		}
-		builds[ref.Name] = t
+		mt.Builds[ref.Name] = t
 	}
-	out, err := task.Op.RunMap(w.reg, recs, task.InputIdx, task.NumReducers, task.HasReduce, task.RunCombine, builds)
+	for _, st := range task.Op.Steps {
+		if mt.Builds[st.Build] == nil {
+			return &wire.TaskResult{Err: fmt.Sprintf("chain step references unknown build %q", st.Build)}
+		}
+	}
+	var first data.Value
+	if blk.NumRecords() > 0 {
+		first = blk.Records()[0]
+	}
+	fns, err := jaql.DecodeOp(task.Op, task.InputIdx, first)
+	if err != nil {
+		return &wire.TaskResult{Err: err.Error()}
+	}
+	mt.Input = fns.Input
+	if task.HasReduce {
+		if task.NumReducers < 1 || fns.Reduce == nil {
+			return &wire.TaskResult{Err: fmt.Sprintf("%s op cannot shuffle to %d reducers", task.Op.Kind, task.NumReducers)}
+		}
+		mt.NumReducers = task.NumReducers
+	}
+	if task.RunCombine {
+		if fns.Combine == nil {
+			return &wire.TaskResult{Err: fmt.Sprintf("combiner requested for %s op", task.Op.Kind)}
+		}
+		mt.Combine = fns.Combine
+	}
+	out, err := mt.Run(w.reg, blk)
 	if err != nil {
 		return &wire.TaskResult{Err: err.Error()}
 	}
@@ -315,29 +347,24 @@ func (w *Worker) runMap(task *wire.Task) *wire.TaskResult {
 		return res
 	}
 	if task.RetainShuffle && task.ShuffleID != "" {
-		res.Parts = w.retainShuffle(task.ShuffleID, out.Pairs, task.ByteScale)
+		res.Parts = w.retainShuffle(task.ShuffleID, out.Buckets, task.ByteScale)
 		return res
 	}
-	res.Pairs = out.Pairs
+	res.Pairs = out.Buckets
 	return res
 }
 
 // retainShuffle registers a map task's partitioned output in the
 // shuffle registry and returns the per-partition digests the
-// controller accounts with. The virtual size replicates the
-// controller's per-record arithmetic exactly — int64 conversion per
-// record, then int64 summation — so peer-shuffled and
-// controller-shuffled runs charge identical virtual bytes.
+// controller accounts with, computed by the controller's own
+// mapreduce.Digest so peer-shuffled and in-process runs charge
+// identical virtual bytes.
 func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wire.ShufflePart {
-	digests := make([]wire.ShufflePart, len(parts))
 	var raw int64
-	for p, pairs := range parts {
-		var vb int64
+	for _, pairs := range parts {
 		for _, kv := range pairs {
-			vb += int64(float64(kv.Rec.EncodedSize()+1) * scale)
 			raw += kv.Key.EncodedSize() + kv.Rec.EncodedSize() + int64(len(kv.Tag)) + 16
 		}
-		digests[p] = wire.ShufflePart{Count: len(pairs), Bytes: vb}
 	}
 	w.mu.Lock()
 	if old, ok := w.shuffles[id]; ok {
@@ -360,6 +387,10 @@ func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wi
 		}
 	}
 	w.mu.Unlock()
+	digests := make([]wire.ShufflePart, len(parts))
+	for p, pairs := range parts {
+		digests[p] = mapreduce.Digest(pairs, scale)
+	}
 	return digests
 }
 
@@ -415,9 +446,9 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 
 // runReduce assembles the reduce input from the segment list in map
 // order — each segment inline, from the local registry, or fetched
-// from its producing peer — and stable-sorts it by key, which
-// reproduces exactly the order a controller-side gather-then-sort
-// would give.
+// from its producing peer — sorts it with the engine's normalized-key
+// sort, which reproduces exactly the in-process gather-then-sort
+// order, and runs mapreduce's reduce task body over it.
 func (w *Worker) runReduce(task *wire.Task) *wire.TaskResult {
 	var pairs []wire.KV
 	var peerBytes int64
@@ -440,17 +471,26 @@ func (w *Worker) runReduce(task *wire.Task) *wire.TaskResult {
 		peerBytes += n
 		pairs = append(pairs, kvs...)
 	}
-	wire.SortKVs(pairs)
-	rows, cpu, err := task.Op.RunReduce(w.reg, pairs)
+	fns, err := jaql.DecodeOp(task.Op, 0, data.Null())
+	if err != nil {
+		return &wire.TaskResult{Err: err.Error()}
+	}
+	if fns.Reduce == nil {
+		return &wire.TaskResult{Err: fmt.Sprintf("op kind %q has no reduce phase", task.Op.Kind)}
+	}
+	mapreduce.SortPairs(pairs)
+	rows, cpu, err := mapreduce.Reduce(w.reg, fns.Reduce, pairs)
 	if err != nil {
 		return &wire.TaskResult{Err: err.Error()}
 	}
 	return &wire.TaskResult{Rows: rows, CPUSeconds: cpu, PeerBytes: peerBytes, PeerFetches: peerFetches}
 }
 
-// blockRecords loads one mirrored block file, memoizing by path under
-// the byte-bounded FIFO block cache.
-func (w *Worker) blockRecords(path string) ([]data.Value, error) {
+// block loads one mirrored block file, memoizing the decoded block
+// by path under the byte-bounded FIFO block cache. A cached block
+// keeps the batch layer's per-block images (Block.Aux) too, so
+// repeated scans of a split reuse them as they do in-process.
+func (w *Worker) block(path string) (*dfs.Block, error) {
 	if path == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
@@ -459,15 +499,22 @@ func (w *Worker) blockRecords(path string) ([]data.Value, error) {
 	w.mu.Unlock()
 	if ok {
 		w.statBlockHits.Add(1)
-		return ent.recs, nil
+		return ent.blk, nil
 	}
 	w.statBlockMisses.Add(1)
-	recs, size, err := readBlockFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("open block: %w", err)
 	}
+	recs, err := wire.DecodeBlock(b)
+	if err != nil {
+		return nil, fmt.Errorf("decode block %s: %w", path, err)
+	}
+	blk, size := dfs.NewBlock(recs), int64(len(b))
 	w.mu.Lock()
-	if _, dup := w.blocks[path]; !dup {
+	if cached, dup := w.blocks[path]; dup {
+		blk = cached.blk
+	} else {
 		max := int64(w.cfg.BlockCacheMB) << 20
 		for w.blockBytes+size > max && len(w.blockOrder) > 0 {
 			evict := w.blockOrder[0]
@@ -476,32 +523,21 @@ func (w *Worker) blockRecords(path string) ([]data.Value, error) {
 			delete(w.blocks, evict)
 			w.statBlockEvicts.Add(1)
 		}
-		w.blocks[path] = blockEntry{recs: recs, bytes: size}
+		w.blocks[path] = blockEntry{blk: blk, bytes: size}
 		w.blockOrder = append(w.blockOrder, path)
 		w.blockBytes += size
 	}
 	w.mu.Unlock()
-	return recs, nil
-}
-
-// readBlockFile decodes one mirrored block frame. The on-disk size
-// feeds the block cache's byte accounting.
-func readBlockFile(path string) ([]data.Value, int64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("open block: %w", err)
-	}
-	recs, err := wire.DecodeBlock(b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
-	}
-	return recs, int64(len(b)), nil
+	return blk, nil
 }
 
 // table returns the built hash table for a broadcast ref, memoized by
 // the ref's full semantic identity (file version + build parameters),
 // so rebuilds of the same file with different filters never collide.
-func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
+// The build runs mapreduce's own hash-table build; its UDF cost is
+// discarded, because the controller charges the one-time filtered
+// build to the virtual clock itself.
+func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	filterKey, err := wire.ExprKey(ref.Filter)
 	if err != nil {
 		return nil, err
@@ -515,23 +551,20 @@ func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
 		return t, nil
 	}
 	w.statTableMisses.Add(1)
-	filter, err := wire.DecodeExpr(ref.Filter)
-	if err != nil {
+	b := mapreduce.Broadcast{Name: ref.Name, Wrap: ref.Wrap}
+	if b.Filter, err = wire.DecodeExpr(ref.Filter); err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	keys, err := wire.DecodePaths(ref.Keys)
-	if err != nil {
+	if b.KeyPaths, err = wire.DecodePaths(ref.Keys); err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	var recs []data.Value
-	for _, block := range ref.Blocks {
-		rs, err := w.blockRecords(block)
-		if err != nil {
+	blocks := make([]*dfs.Block, len(ref.Blocks))
+	for i, path := range ref.Blocks {
+		if blocks[i], err = w.block(path); err != nil {
 			return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 		}
-		recs = append(recs, rs...)
 	}
-	t, err = wire.BuildTable(w.reg, ref.Wrap, filter, keys, recs)
+	t, _, err = mapreduce.BuildHashTable(w.reg, b, blocks)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}

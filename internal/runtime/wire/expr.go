@@ -10,9 +10,9 @@ import (
 // ExprSpec is the serialized form of an uncompiled expression tree.
 // Compiled nodes (accessor-bound columns, see expr.Compile) are
 // refused at encode time: callers serialize the uncompiled source
-// expressions, and workers interpret them — expr.Compile is documented
-// to change neither results nor UDF CPU accrual, so both sides
-// evaluate identically.
+// expressions, and workers compile them against their own blocks —
+// expr.Compile is documented to change neither results nor UDF CPU
+// accrual, so both sides evaluate identically.
 type ExprSpec struct {
 	T    string      `json:"t"`              // col lit cmp and or not arith call
 	P    string      `json:"p,omitempty"`    // col: path
@@ -47,13 +47,13 @@ func EncodeExpr(e expr.Expr) (*ExprSpec, error) {
 		}
 		return &ExprSpec{T: "cmp", Op: n.Op.String(), L: l, R: r}, nil
 	case *expr.And:
-		xs, err := encodeExprs(n.Terms)
+		xs, err := EncodeExprs(n.Terms)
 		if err != nil {
 			return nil, err
 		}
 		return &ExprSpec{T: "and", Xs: xs}, nil
 	case *expr.Or:
-		xs, err := encodeExprs(n.Terms)
+		xs, err := EncodeExprs(n.Terms)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func EncodeExpr(e expr.Expr) (*ExprSpec, error) {
 		}
 		return &ExprSpec{T: "arith", Op: n.Op.String(), L: l, R: r}, nil
 	case *expr.Call:
-		args, err := encodeExprs(n.Args)
+		args, err := EncodeExprs(n.Args)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +85,8 @@ func EncodeExpr(e expr.Expr) (*ExprSpec, error) {
 	}
 }
 
-func encodeExprs(es []expr.Expr) ([]*ExprSpec, error) {
+// EncodeExprs serializes an expression list (group-by keys, operands).
+func EncodeExprs(es []expr.Expr) ([]*ExprSpec, error) {
 	out := make([]*ExprSpec, len(es))
 	for i, e := range es {
 		s, err := EncodeExpr(e)
@@ -126,13 +127,13 @@ func DecodeExpr(s *ExprSpec) (expr.Expr, error) {
 		}
 		return &expr.Cmp{Op: op, L: l, R: r}, nil
 	case "and":
-		xs, err := decodeExprs(s.Xs)
+		xs, err := DecodeExprs(s.Xs)
 		if err != nil {
 			return nil, err
 		}
 		return &expr.And{Terms: xs}, nil
 	case "or":
-		xs, err := decodeExprs(s.Xs)
+		xs, err := DecodeExprs(s.Xs)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func DecodeExpr(s *ExprSpec) (expr.Expr, error) {
 		}
 		return &expr.Arith{Op: op, L: l, R: r}, nil
 	case "call":
-		args, err := decodeExprs(s.Args)
+		args, err := DecodeExprs(s.Args)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +169,8 @@ func DecodeExpr(s *ExprSpec) (expr.Expr, error) {
 	}
 }
 
-func decodeExprs(ss []*ExprSpec) ([]expr.Expr, error) {
+// DecodeExprs rebuilds an expression list.
+func DecodeExprs(ss []*ExprSpec) ([]expr.Expr, error) {
 	out := make([]expr.Expr, len(ss))
 	for i, s := range ss {
 		e, err := DecodeExpr(s)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dyno/internal/data"
-	"dyno/internal/expr"
 	"dyno/internal/sqlparse"
 )
 
@@ -47,9 +46,9 @@ type SelectItem struct {
 
 // OpSpec declares what a job's tasks compute, covering the four job
 // shapes the compiler emits. It is attached to mapreduce.Spec.RemoteOp
-// and interpreted by workers; the controller keeps running the
-// identical closures for accounting, so an OpSpec must describe the
-// exact same transformation.
+// and carries the uncompiled values the compiler's operator builders
+// take; a worker decodes it (jaql.DecodeOp) and runs the same builders
+// the in-process job runs.
 type OpSpec struct {
 	Kind string `json:"kind"` // scan | repartition | chain | aggregate
 
@@ -126,10 +125,9 @@ func EncodePrune(live map[string]map[string]bool) []PruneEntry {
 	return out
 }
 
-// DecodePrune rebuilds the projection-pushdown row transform,
-// replicating jaql.NewPruner exactly: every listed alias keeps only
-// its live fields; unlisted aliases pass through whole.
-func DecodePrune(entries []PruneEntry) func(data.Value) data.Value {
+// DecodeLive rebuilds the live-column map EncodePrune serialized (nil
+// when pruning is off); jaql.NewPruner turns it into the row transform.
+func DecodeLive(entries []PruneEntry) map[string]map[string]bool {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -141,26 +139,7 @@ func DecodePrune(entries []PruneEntry) func(data.Value) data.Value {
 		}
 		live[e.Alias] = set
 	}
-	return func(row data.Value) data.Value {
-		fields := row.Fields()
-		out := make([]data.Field, 0, len(fields))
-		for _, f := range fields {
-			set, known := live[f.Name]
-			if !known || set == nil {
-				out = append(out, f)
-				continue
-			}
-			inner := f.Value.Fields()
-			kept := make([]data.Field, 0, len(set))
-			for _, g := range inner {
-				if set[g.Name] {
-					kept = append(kept, g)
-				}
-			}
-			out = append(out, data.Field{Name: f.Name, Value: data.ObjectFromSorted(kept)})
-		}
-		return data.ObjectFromSorted(out)
-	}
+	return live
 }
 
 // EncodeSelect serializes a select list, freezing each item's output
@@ -198,14 +177,4 @@ func DecodeSelect(items []SelectItem) ([]sqlparse.SelectItem, error) {
 		out[i] = it
 	}
 	return out, nil
-}
-
-// EncodeExprs serializes an expression list (group-by keys).
-func EncodeExprs(es []expr.Expr) ([]*ExprSpec, error) {
-	return encodeExprs(es)
-}
-
-// DecodeExprs rebuilds an expression list.
-func DecodeExprs(ss []*ExprSpec) ([]expr.Expr, error) {
-	return decodeExprs(ss)
 }

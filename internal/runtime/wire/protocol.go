@@ -1,9 +1,9 @@
 // Package wire is the serialization layer of the multi-process
 // execution backend: the binary frame codec for data values,
 // (uncompiled) expressions, task and result batches, block mirrors and
-// shuffle partitions; a declarative operator spec covering every job
-// shape the compiler emits; and the worker-side interpreter that
-// executes those specs over decoded DFS blocks.
+// shuffle partitions; and a declarative operator spec covering every
+// job shape the compiler emits, which workers decode back into the
+// compiler's own operator builders (jaql.DecodeOp).
 //
 // Every value crosses the wire as exact binary (IEEE-754 bits for
 // doubles, varints for ints, field order preserved), so a value
@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"dyno/internal/data"
+	"dyno/internal/mapreduce"
 )
 
 // The controller/worker HTTP protocol. Workers register with the
@@ -83,16 +84,15 @@ type ShuffleGCRequest struct {
 	IDs []string `json:"ids"`
 }
 
-// ShufflePart is a per-partition digest of retained map output: the
-// pair count and the summed virtual size of the partition's records.
-// The worker computes the virtual size with the controller's exact
-// per-record arithmetic (int64(float64(EncodedSize+1) * ByteScale),
-// summed as int64s), so the controller can account shuffle volume
-// without ever seeing the pairs.
-type ShufflePart struct {
-	Count int   `json:"count"`
-	Bytes int64 `json:"bytes"`
-}
+// ShufflePart is a per-partition digest of retained map output. The
+// worker computes it with mapreduce.Digest, the controller's own
+// arithmetic, so the controller can account shuffle volume without
+// ever seeing the pairs.
+type ShufflePart = mapreduce.ShufflePart
+
+// KV is one shuffled record as frames carry it: the engine's shuffle
+// pair, without its normalized key (mapreduce.SortPairs restores it).
+type KV = mapreduce.Pair
 
 // ShuffleRef is one reduce-input segment, in map-output order. Either
 // ID is set — the segment lives in the registry of the worker at URL

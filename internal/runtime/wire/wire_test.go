@@ -40,53 +40,3 @@ func TestExprCodecRefusesCompiledNodes(t *testing.T) {
 		t.Fatal("expected EncodeExpr to refuse a compiled tree")
 	}
 }
-
-func TestPruneCodecMatchesPruner(t *testing.T) {
-	live := map[string]map[string]bool{
-		"l": {"l_orderkey": true, "l_discount": true},
-		"o": nil, // fully live: must be omitted, pruner keeps it whole
-	}
-	back := taskRoundTrip(t, &Task{Task: "t", Kind: "map", Op: &OpSpec{Kind: "scan", Prune: EncodePrune(live)}})
-	prune := DecodePrune(back.Op.Prune)
-	row := data.Object(
-		data.Field{Name: "l", Value: data.Object(
-			data.Field{Name: "l_orderkey", Value: data.Int(1)},
-			data.Field{Name: "l_discount", Value: data.Double(0.04)},
-			data.Field{Name: "l_comment", Value: data.String("x")},
-		)},
-		data.Field{Name: "o", Value: data.Object(data.Field{Name: "o_comment", Value: data.String("y")})},
-	)
-	got := prune(row)
-	want := data.Object(
-		data.Field{Name: "l", Value: data.Object(
-			data.Field{Name: "l_orderkey", Value: data.Int(1)},
-			data.Field{Name: "l_discount", Value: data.Double(0.04)},
-		)},
-		data.Field{Name: "o", Value: data.Object(data.Field{Name: "o_comment", Value: data.String("y")})},
-	)
-	if !data.Equal(got, want) {
-		t.Fatalf("prune mismatch: %s != %s", got, want)
-	}
-}
-
-func TestTableProbeMatchesScanOrder(t *testing.T) {
-	recs := []data.Value{
-		data.Object(data.Field{Name: "k", Value: data.Int(1)}, data.Field{Name: "v", Value: data.String("a")}),
-		data.Object(data.Field{Name: "k", Value: data.Int(2)}, data.Field{Name: "v", Value: data.String("b")}),
-		data.Object(data.Field{Name: "k", Value: data.Int(1)}, data.Field{Name: "v", Value: data.String("c")}),
-	}
-	tbl, err := BuildTable(nil, "t", nil, []data.Path{data.MustParsePath("t.k")}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tbl.Probe(data.Int(1))
-	if len(rows) != 2 {
-		t.Fatalf("probe returned %d rows, want 2", len(rows))
-	}
-	if rows[0].Fields()[0].Value.Fields()[1].Value.Str() != "a" || rows[1].Fields()[0].Value.Fields()[1].Value.Str() != "c" {
-		t.Fatalf("probe order not scan order: %v", rows)
-	}
-	if got := tbl.Probe(data.Int(3)); got != nil {
-		t.Fatalf("probe of absent key returned %v", got)
-	}
-}

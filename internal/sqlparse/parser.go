@@ -318,7 +318,10 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		if p.acceptKeyword("AS") {
-			item.As = p.next().text
+			var err error
+			if item.As, err = p.alias(); err != nil {
+				return SelectItem{}, err
+			}
 		}
 		return item, nil
 	}
@@ -328,9 +331,21 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	}
 	item := SelectItem{E: e}
 	if p.acceptKeyword("AS") {
-		item.As = p.next().text
+		if item.As, err = p.alias(); err != nil {
+			return SelectItem{}, err
+		}
 	}
 	return item, nil
+}
+
+// alias consumes the identifier that must follow AS in a select item.
+func (p *parser) alias() (string, error) {
+	t := p.peek()
+	if t.kind != tokIdent {
+		return "", fmt.Errorf("sqlparse: expected alias after AS at position %d (found %q)", t.pos, t.text)
+	}
+	p.pos++
+	return t.text, nil
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {

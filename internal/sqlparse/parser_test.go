@@ -182,6 +182,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a.x FROM t a WHERE a.x='x", // unterminated string
 		"SELECT a.addr[x] FROM t a",        // bad subscript
 		"SELECT a.x FROM t a WHERE (a.x=1", // unbalanced paren
+		"SELECT a AS",                      // AS at end of input
+		"SELECT a AS , b FROM t",           // AS without an alias
+		"SELECT count(*) AS FROM t",        // keyword is no alias
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
